@@ -10,7 +10,9 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dmhpc_des::time::SimDuration;
 use dmhpc_platform::{PoolTopology, SlowdownModel};
-use dmhpc_sched::{AdmissionPolicy, MemoryPolicy, MetaPolicyKind, OrderPolicy, SchedulerBuilder};
+use dmhpc_sched::{
+    AdmissionPolicy, BackfillPolicy, MemoryPolicy, MetaPolicyKind, OrderPolicy, SchedulerBuilder,
+};
 use dmhpc_sim::observe::{EventCounter, SampledSeriesProbe, TraceSink};
 use dmhpc_sim::scenarios::{default_slowdown, policy_suite, preset_cluster};
 use dmhpc_sim::{
@@ -192,6 +194,13 @@ fn bench_engine_kernel(c: &mut Criterion) {
         let sim = Simulation::new(cfg.with_event_queue(kind)).expect("valid config");
         group.bench_function(kind.name(), |b| b.iter(|| black_box(sim.run(&workload))));
     }
+    // The same run without backfilling: `bench_gate` bounds heap over
+    // this arm (`backfill_vs_none_ratio`), i.e. what the backfill layer
+    // (profile build + scan) costs on top of the rest of the kernel.
+    let mut no_backfill = cfg;
+    no_backfill.scheduler.backfill = BackfillPolicy::None;
+    let sim = Simulation::new(no_backfill).expect("valid config");
+    group.bench_function("no_backfill", |b| b.iter(|| black_box(sim.run(&workload))));
     group.finish();
 }
 

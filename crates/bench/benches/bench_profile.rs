@@ -4,9 +4,9 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use dmhpc_des::rng::Pcg64;
 use dmhpc_des::time::{SimDuration, SimTime};
 use dmhpc_platform::{Cluster, ClusterSpec, NodeSpec, PoolTopology};
-use dmhpc_sched::{AvailabilityProfile, Demand, Release};
+use dmhpc_sched::{AvailabilityProfile, Demand, RunningRelease};
 
-fn make(releases: usize) -> (Cluster, Vec<Release>) {
+fn make(releases: usize) -> (Cluster, Vec<RunningRelease>) {
     let cluster = Cluster::new(ClusterSpec::new(
         8,
         32,
@@ -17,8 +17,8 @@ fn make(releases: usize) -> (Cluster, Vec<Release>) {
     ));
     let mut rng = Pcg64::new(3);
     let rels = (0..releases)
-        .map(|_| Release {
-            time: SimTime::from_secs(rng.bounded_u64(100_000)),
+        .map(|_| RunningRelease {
+            planned_end: SimTime::from_secs(rng.bounded_u64(100_000)),
             nodes_per_rack: (0..8).map(|_| rng.bounded_u64(3) as u32).collect(),
             pool_per_domain: (0..8).map(|_| rng.bounded_u64(64 * 1024)).collect(),
         })
@@ -50,6 +50,17 @@ fn bench_profile(c: &mut Criterion) {
                         nodes: 64,
                         remote_per_node: 32 * 1024,
                     },
+                ))
+            })
+        });
+        // The EASY scan's per-candidate check: a 16-node split, 2 per rack.
+        group.bench_with_input(BenchmarkId::new("fits_split", n), &n, |b, _| {
+            b.iter(|| {
+                black_box(profile.fits_split(
+                    SimTime::ZERO,
+                    SimDuration::from_hours(2),
+                    &[2; 8],
+                    32 * 1024,
                 ))
             })
         });

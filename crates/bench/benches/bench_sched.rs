@@ -26,17 +26,9 @@ fn setup(depth: usize) -> (Cluster, WaitQueue, ReleaseIndex) {
         let node = NodeId(i as u32);
         let a = MemoryAssignment::local(vec![node], 64 * 1024);
         let lease = 1_000_000 + i as u64;
+        let end = SimTime::from_secs(600 + (i as u64 % 96) * 600);
+        releases.insert(lease, RunningRelease::of(&cluster, &a, end));
         cluster.allocate(lease, a).unwrap();
-        let mut nodes_per_rack = vec![0u32; 8];
-        nodes_per_rack[i / 32] += 1;
-        releases.insert(
-            lease,
-            RunningRelease {
-                planned_end: SimTime::from_secs(600 + (i as u64 % 96) * 600),
-                nodes_per_rack,
-                pool_per_domain: vec![0; 8],
-            },
-        );
     }
     let spec = SystemPreset::MidCluster.synthetic_spec(depth);
     let w = spec.generate(11);

@@ -11,6 +11,10 @@
 //! * **kernel backend** — engine throughput on the calendar event queue
 //!   (`engine_kernel/calendar`) over the binary heap
 //!   (`engine_kernel/heap`), so the opt-in backend cannot silently rot;
+//! * **backfill layer** — the kernel workload under EASY backfilling
+//!   (`engine_kernel/heap`) over the same run with backfilling off
+//!   (`engine_kernel/no_backfill`), so the availability-profile build and
+//!   the backfill scan cannot silently grow back to dominate a pass;
 //! * **fault path** — the same workload under the canned fault storm
 //!   (`engine_faults/storm`) over its fault-free run
 //!   (`engine_faults/none`), bounding what the availability subsystem may
@@ -61,6 +65,7 @@ const RUN_BENCH: &str = "experiment_runner/run/1";
 const RAW_BENCH: &str = "experiment_runner/raw_cells";
 const KERNEL_CAL_BENCH: &str = "engine_kernel/calendar";
 const KERNEL_HEAP_BENCH: &str = "engine_kernel/heap";
+const KERNEL_NO_BACKFILL_BENCH: &str = "engine_kernel/no_backfill";
 const FAULTS_STORM_BENCH: &str = "engine_faults/storm";
 const FAULTS_NONE_BENCH: &str = "engine_faults/none";
 const OBSERVERS_FULL_BENCH: &str = "engine_observers/full";
@@ -157,6 +162,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         baseline
             .expect_key("kernel_calendar_vs_heap_ratio")?
             .to_f64()?,
+        max_regression,
+    )?;
+    gate(
+        "backfill vs no backfill",
+        KERNEL_HEAP_BENCH,
+        KERNEL_NO_BACKFILL_BENCH,
+        mean_of(&results, KERNEL_HEAP_BENCH)?,
+        mean_of(&results, KERNEL_NO_BACKFILL_BENCH)?,
+        baseline.expect_key("backfill_vs_none_ratio")?.to_f64()?,
         max_regression,
     )?;
     gate(

@@ -80,7 +80,7 @@ pub use order::OrderPolicy;
 pub use policy::{
     BackfillPolicy, PassResult, Scheduler, SchedulerBuilder, SchedulerConfig, StartedJob,
 };
-pub use profile::{AvailabilityProfile, Demand, Release};
+pub use profile::{AvailabilityProfile, Demand};
 pub use queue::{QueuedJob, WaitQueue};
 pub use release::{ReleaseIndex, ReleaseView, RunningRelease};
 pub use traits::{Ordering, PassDirective, Placement, SchedContext};

@@ -22,9 +22,9 @@
 use crate::admission::{AdmissionPolicy, AdmissionVerdict, PreemptPolicy, RejectReason};
 use crate::memory::MemoryPolicy;
 use crate::order::OrderPolicy;
-use crate::profile::{AvailabilityProfile, Release};
+use crate::profile::AvailabilityProfile;
 use crate::queue::WaitQueue;
-use crate::release::ReleaseView;
+use crate::release::{ReleaseView, RunningRelease};
 use crate::traits::{Ordering, PassDirective, Placement, SchedContext};
 use dmhpc_des::time::{SimDuration, SimTime};
 use dmhpc_platform::{Cluster, MemoryAssignment, PlatformError, SlowdownModel};
@@ -417,24 +417,13 @@ impl Scheduler {
             return result;
         }
 
-        // View iteration is already (time, lease)-sorted; the profile's
-        // stable sort then sees pre-sorted input plus the started-jobs tail.
-        let releases: Vec<Release> = running
-            .iter()
-            .map(|r| Release {
-                time: r.planned_end,
-                nodes_per_rack: r.nodes_per_rack.clone(),
-                pool_per_domain: r.pool_per_domain.clone(),
-            })
-            // Jobs started in phase 1 also release capacity later.
-            .chain(
-                result
-                    .started
-                    .iter()
-                    .map(|s| release_of(cluster, &s.assignment, now + s.planned_walltime)),
-            )
-            .collect();
-        let mut profile = AvailabilityProfile::from_cluster(now, cluster, &releases);
+        // View iteration is already planned-end sorted, so the build skips
+        // the sort; jobs started in phase 1 also release capacity later.
+        let mut profile = AvailabilityProfile::from_sorted(now, cluster, running.iter());
+        for s in &result.started {
+            let end = now + s.planned_walltime;
+            profile.add_release(&RunningRelease::of(cluster, &s.assignment, end));
+        }
 
         // The profile only sees current free capacity plus running-job
         // releases; it knows nothing about scheduled repairs or drain
@@ -558,17 +547,31 @@ impl Scheduler {
         };
         profile.reserve(shadow, head_wall, &head_split, head_demand.remote_per_node);
 
-        // Scan the rest of the queue in order.
+        // Scan the rest of the queue in order. A backfill must fit the
+        // profile's free nodes at `now` (net of the head's reservation and
+        // earlier backfills), and a plan occupies at least `job.nodes`
+        // nodes (the `Placement::plan` contract), so a job wider than that
+        // total would fail `fits_split` anyway: skip it without planning.
+        let mut free_now = free_nodes_now(profile, now);
+        let mut split = Vec::new();
         let mut idx = 1;
         while idx < queue.len() {
             // lint: allow(panic) — the loop condition maintains idx < queue.len()
             let job = &queue.get(idx).expect("idx < len").job;
+            if u64::from(job.nodes) > free_now {
+                idx += 1;
+                continue;
+            }
             let Some(plan) = self.placement.plan(job, &self.ctx(now, cluster, running)) else {
                 idx += 1;
                 continue;
             };
+            debug_assert!(
+                plan.assignment.nodes.len() >= job.nodes as usize,
+                "Placement::plan must occupy at least job.nodes nodes"
+            );
             let wall = self.planned_walltime(job, plan.dilation);
-            let split = split_of(cluster, &plan.assignment);
+            split_into(cluster, &plan.assignment, &mut split);
             if !profile.fits_split(now, wall, &split, plan.assignment.remote_per_node) {
                 idx += 1;
                 continue;
@@ -579,6 +582,7 @@ impl Scheduler {
                 // lint: allow(panic) — plan() only returns assignments the cluster can satisfy right now
                 .expect("plan() returned an unallocatable assignment");
             profile.reserve(now, wall, &split, plan.assignment.remote_per_node);
+            free_now = free_nodes_now(profile, now);
             result.started.push(StartedJob {
                 job: entry.job,
                 assignment: plan.assignment,
@@ -601,15 +605,20 @@ impl Scheduler {
         profile: &mut AvailabilityProfile,
         result: &mut PassResult,
     ) {
+        let mut plan_split = Vec::new();
         let mut idx = 0;
         while idx < queue.len() {
             // lint: allow(panic) — the loop condition maintains idx < queue.len()
             let job = &queue.get(idx).expect("idx < len").job;
-            let (demand, dilation) = self
+            let Some((demand, dilation)) = self
                 .placement
                 .nominal_shape(job, &self.ctx(now, cluster, running))
-                // lint: allow(panic) — phase 1 rejected jobs that can never fit, so a shape exists
-                .expect("impossible jobs rejected in phase 1");
+            else {
+                // Never runnable here: phase 1 rejects it once it reaches
+                // the head (as under EASY); until then it holds nothing.
+                idx += 1;
+                continue;
+            };
             let wall = self.planned_walltime(job, dilation);
             let Some((start, split)) = profile.earliest_fit(now, wall, &demand) else {
                 if degraded {
@@ -627,7 +636,7 @@ impl Scheduler {
             if start == now {
                 if let Some(plan) = self.placement.plan(job, &self.ctx(now, cluster, running)) {
                     let plan_wall = self.planned_walltime(job, plan.dilation);
-                    let plan_split = split_of(cluster, &plan.assignment);
+                    split_into(cluster, &plan.assignment, &mut plan_split);
                     if profile.fits_split(
                         now,
                         plan_wall,
@@ -662,43 +671,33 @@ impl Scheduler {
     }
 }
 
-/// Count an assignment's nodes per rack.
-fn split_of(cluster: &Cluster, assignment: &MemoryAssignment) -> Vec<u32> {
-    let racks = cluster.spec().racks as usize;
-    let mut split = vec![0u32; racks];
+/// Count an assignment's nodes per rack into `split` (resized to the
+/// cluster's rack count).
+fn split_into(cluster: &Cluster, assignment: &MemoryAssignment, split: &mut Vec<u32>) {
+    split.clear();
+    split.resize(cluster.spec().racks as usize, 0);
     for &node in &assignment.nodes {
         split[cluster.rack_of(node).0 as usize] += 1;
     }
-    split
 }
 
-/// The release event an assignment will produce at `end`.
-fn release_of(cluster: &Cluster, assignment: &MemoryAssignment, end: SimTime) -> Release {
-    let racks = cluster.spec().racks as usize;
-    let domains = cluster.pools().len();
-    let mut nodes_per_rack = vec![0u32; racks];
-    let mut pool_per_domain = vec![0u64; domains];
-    for &node in &assignment.nodes {
-        nodes_per_rack[cluster.rack_of(node).0 as usize] += 1;
-        if assignment.remote_per_node > 0 {
-            let pool = cluster
-                .pool_of(node)
-                // lint: allow(panic) — assignments with remote memory are only planned on pool-backed nodes
-                .expect("remote memory implies a pool domain");
-            pool_per_domain[pool.0 as usize] += assignment.remote_per_node;
-        }
-    }
-    Release {
-        time: end,
-        nodes_per_rack,
-        pool_per_domain,
-    }
+/// Total free nodes in the profile's row at `now`.
+fn free_nodes_now(profile: &AvailabilityProfile, now: SimTime) -> u64 {
+    profile
+        .free_nodes_at(now)
+        .iter()
+        .map(|&n| u64::from(n))
+        .sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::release::{ReleaseIndex, RunningRelease};
+    use crate::memory::PlannedAllocation;
+    use crate::profile::naive::NaiveProfile;
+    use crate::profile::Demand;
+    use crate::release::ReleaseIndex;
+    use dmhpc_des::rng::Pcg64;
     use dmhpc_platform::{ClusterSpec, NodeSpec, PoolTopology};
     use dmhpc_workload::{JobBuilder, JobId};
 
@@ -749,14 +748,9 @@ mod tests {
             MemoryAssignment::local(ids, 32 * GIB)
         };
         cluster.allocate(lease, a.clone()).unwrap();
-        let rel = release_of(cluster, &a, SimTime::from_secs(end_s));
         running.insert(
             lease,
-            RunningRelease {
-                planned_end: rel.time,
-                nodes_per_rack: rel.nodes_per_rack,
-                pool_per_domain: rel.pool_per_domain,
-            },
+            RunningRelease::of(cluster, &a, SimTime::from_secs(end_s)),
         );
     }
 
@@ -909,6 +903,28 @@ mod tests {
         // job 3 on two → all busy)
         let r2 = sched.schedule(SimTime::ZERO, &mut queue2, &mut cluster, running.view());
         assert!(r2.started.is_empty());
+    }
+
+    #[test]
+    fn conservative_skips_impossible_jobs_behind_a_blocked_head() {
+        let sched = Scheduler::new(
+            SchedulerBuilder::new()
+                .backfill(BackfillPolicy::Conservative)
+                .memory(MemoryPolicy::PoolFirstFit)
+                .build(),
+        )
+        .unwrap();
+        let mut cluster = small_cluster();
+        let mut running = ReleaseIndex::new();
+        park(&mut cluster, &mut running, 100, &[0, 1], 0, 100);
+        let mut queue = WaitQueue::new();
+        queue.push(job(1, 4, 500, 1000), SimTime::ZERO); // blocked head
+        queue.push(job(2, 8, 100, 200), SimTime::ZERO); // wider than the machine
+        queue.push(job(3, 2, 50, 100), SimTime::ZERO); // backfills
+        let result = sched.schedule(SimTime::ZERO, &mut queue, &mut cluster, running.view());
+        assert_eq!(ids(&result.started), vec![3]);
+        assert!(result.rejected.is_empty(), "rejected once it is the head");
+        assert_eq!(queue.len(), 2);
     }
 
     #[test]
@@ -1191,5 +1207,401 @@ mod tests {
         );
         // Deadlines: job 2 at t=40 (stamp), job 1 at t=3600 (run-wide).
         assert_eq!(ids(&result.started), vec![2, 1]);
+    }
+
+    /// The reference pass for the differential oracle below: releases
+    /// cloned and sorted, the profile rebuilt from scratch as the naive
+    /// `Vec<Point>` profile, and every queued job planned (no width
+    /// filter). Otherwise step for step what `Scheduler::schedule` does.
+    fn naive_schedule(
+        sched: &Scheduler,
+        now: SimTime,
+        queue: &mut WaitQueue,
+        cluster: &mut Cluster,
+        running: ReleaseView<'_>,
+    ) -> PassResult {
+        let mut result = PassResult::default();
+        {
+            let ctx = sched.ctx(now, cluster, running);
+            sched.order.order(queue.entries_mut(), &ctx);
+        }
+        let start = |cluster: &mut Cluster,
+                     result: &mut PassResult,
+                     job: Job,
+                     plan: PlannedAllocation,
+                     wall| {
+            cluster
+                .allocate(job.id.as_u64(), plan.assignment.clone())
+                .unwrap();
+            result.started.push(StartedJob {
+                job,
+                assignment: plan.assignment,
+                dilation: plan.dilation,
+                planned_walltime: wall,
+            });
+        };
+        while let Some(head) = queue.front() {
+            let ctx = sched.ctx(now, cluster, running);
+            if sched.placement.nominal_shape(&head.job, &ctx).is_none() {
+                let entry = queue.pop_front();
+                result
+                    .rejected
+                    .push((entry.job, RejectReason::CapacityExceeded));
+                continue;
+            }
+            let Some(plan) = sched.placement.plan(&head.job, &ctx) else {
+                break;
+            };
+            let job = queue.pop_front().job;
+            let wall = sched.planned_walltime(&job, plan.dilation);
+            start(cluster, &mut result, job, plan, wall);
+        }
+        if queue.is_empty() || sched.cfg.backfill == BackfillPolicy::None {
+            sched.admission_pass(now, queue, cluster, running, &mut result);
+            return result;
+        }
+        let mut releases: Vec<RunningRelease> = running.iter().cloned().collect();
+        for s in &result.started {
+            releases.push(RunningRelease::of(
+                cluster,
+                &s.assignment,
+                now + s.planned_walltime,
+            ));
+        }
+        let mut profile = NaiveProfile::from_cluster(now, cluster, &releases);
+        let degraded = cluster.available_nodes() < cluster.total_nodes() as usize
+            || cluster.pools().iter().any(|p| p.health() < 1.0);
+        let split_of = |cluster: &Cluster, a: &MemoryAssignment| {
+            let mut split = vec![0u32; cluster.spec().racks as usize];
+            for &node in &a.nodes {
+                split[cluster.rack_of(node).0 as usize] += 1;
+            }
+            split
+        };
+        if sched.cfg.backfill == BackfillPolicy::Easy {
+            let head = &queue.front().unwrap().job;
+            let ctx = sched.ctx(now, cluster, running);
+            let (demand, dilation) = sched.placement.nominal_shape(head, &ctx).unwrap();
+            let wall = sched.planned_walltime(head, dilation);
+            match profile.earliest_fit(now, wall, &demand) {
+                Some((shadow, split)) => {
+                    profile.reserve(shadow, wall, &split, demand.remote_per_node);
+                    let mut idx = 1;
+                    while idx < queue.len() {
+                        let job = &queue.get(idx).unwrap().job;
+                        let ctx = sched.ctx(now, cluster, running);
+                        let Some(plan) = sched.placement.plan(job, &ctx) else {
+                            idx += 1;
+                            continue;
+                        };
+                        let wall = sched.planned_walltime(job, plan.dilation);
+                        let split = split_of(cluster, &plan.assignment);
+                        let remote = plan.assignment.remote_per_node;
+                        if !profile.fits_split(now, wall, &split, remote) {
+                            idx += 1;
+                            continue;
+                        }
+                        let job = queue.remove(idx).job;
+                        start(cluster, &mut result, job, plan, wall);
+                        profile.reserve(now, wall, &split, remote);
+                    }
+                }
+                None if degraded => {}
+                None => {
+                    let entry = queue.pop_front();
+                    result
+                        .rejected
+                        .push((entry.job, RejectReason::ProfileInfeasible));
+                }
+            }
+        } else {
+            let mut idx = 0;
+            while idx < queue.len() {
+                let job = &queue.get(idx).unwrap().job;
+                let ctx = sched.ctx(now, cluster, running);
+                let Some((demand, dilation)) = sched.placement.nominal_shape(job, &ctx) else {
+                    idx += 1;
+                    continue;
+                };
+                let wall = sched.planned_walltime(job, dilation);
+                let Some((at, split)) = profile.earliest_fit(now, wall, &demand) else {
+                    if degraded {
+                        idx += 1;
+                    } else {
+                        let entry = queue.remove(idx);
+                        result
+                            .rejected
+                            .push((entry.job, RejectReason::ProfileInfeasible));
+                    }
+                    continue;
+                };
+                if at == now {
+                    if let Some(plan) = sched.placement.plan(job, &ctx) {
+                        let plan_wall = sched.planned_walltime(job, plan.dilation);
+                        let plan_split = split_of(cluster, &plan.assignment);
+                        let remote = plan.assignment.remote_per_node;
+                        if profile.fits_split(now, plan_wall, &plan_split, remote) {
+                            let job = queue.remove(idx).job;
+                            start(cluster, &mut result, job, plan, plan_wall);
+                            profile.reserve(now, plan_wall, &plan_split, remote);
+                            continue;
+                        }
+                    }
+                }
+                profile.reserve(at, wall, &split, demand.remote_per_node);
+                idx += 1;
+            }
+        }
+        sched.admission_pass(now, queue, cluster, running, &mut result);
+        result
+    }
+
+    /// A seeded random machine state: some running jobs (a few past their
+    /// planned end), and on degraded cases down/draining nodes and
+    /// degraded pools.
+    fn random_state(rng: &mut Pcg64, now: SimTime) -> (Cluster, ReleaseIndex, WaitQueue) {
+        let racks = 1 + rng.bounded_u64(4) as u32;
+        let pool = match rng.bounded_u64(3) {
+            0 => PoolTopology::None,
+            1 => PoolTopology::PerRack {
+                mib_per_rack: (32 + rng.bounded_u64(256)) * GIB,
+            },
+            _ => PoolTopology::Global {
+                mib: (64 + rng.bounded_u64(512)) * GIB,
+            },
+        };
+        let per_rack = 2 + rng.bounded_u64(7) as u32;
+        let mut cluster = Cluster::new(ClusterSpec::new(
+            racks,
+            per_rack,
+            NodeSpec::new(64, 256 * GIB),
+            pool,
+        ));
+        let random_job = |rng: &mut Pcg64, id: u64| {
+            let wall = 60 + rng.bounded_u64(20_000);
+            JobBuilder::new(id)
+                .arrival_secs(rng.bounded_u64(now.as_secs() + 1))
+                .nodes(1 + rng.bounded_u64(u64::from(per_rack) + 2) as u32)
+                .mem_per_node((16 + rng.bounded_u64(400)) * GIB)
+                .intensity(rng.bounded_u64(100) as f64 / 100.0)
+                .runtime_secs(1 + rng.bounded_u64(wall), wall)
+                .build()
+        };
+        let mut running = ReleaseIndex::new();
+        let placer = MemoryPolicy::PoolFirstFit;
+        let model = SlowdownModel::Linear { penalty: 1.5 };
+        for lease in 0..rng.bounded_u64(12) {
+            let job = random_job(rng, 10_000 + lease);
+            let Some(plan) = placer.plan(&job, &cluster, &model) else {
+                continue;
+            };
+            let lease = 10_000 + lease;
+            cluster.allocate(lease, plan.assignment.clone()).unwrap();
+            let end = SimTime::from_secs(now.as_secs() - 200 + rng.bounded_u64(30_000));
+            running.insert(lease, RunningRelease::of(&cluster, &plan.assignment, end));
+        }
+        if rng.bounded_u64(3) == 0 {
+            for _ in 0..1 + rng.bounded_u64(3) {
+                let node =
+                    dmhpc_platform::NodeId(rng.bounded_u64(u64::from(racks * per_rack)) as u32);
+                if rng.bounded_u64(2) == 0 {
+                    cluster.fail_node(node).unwrap();
+                } else {
+                    cluster.drain_node(node).unwrap();
+                }
+            }
+            for p in 0..cluster.pools().len() {
+                if rng.bounded_u64(2) == 0 {
+                    let health = 0.3 + rng.bounded_u64(70) as f64 / 100.0;
+                    cluster
+                        .set_pool_health(dmhpc_platform::PoolId(p as u32), health)
+                        .unwrap();
+                }
+            }
+        }
+        let mut queue = WaitQueue::new();
+        for id in 0..2 + rng.bounded_u64(30) {
+            let job = random_job(rng, id);
+            let at = job.arrival;
+            queue.push(job, at);
+        }
+        (cluster, running, queue)
+    }
+
+    /// Differential oracle: on seeded random states, healthy and degraded,
+    /// the production pass (flat profile, width filter, reused buffers)
+    /// starts and rejects exactly what the naive reference pass does, with
+    /// identical assignments, and leaves the same queue behind.
+    #[test]
+    fn pass_matches_naive_reference_pass() {
+        let mut rng = Pcg64::new(4242);
+        let now = SimTime::from_secs(5_000);
+        let (mut backfilled, mut rejected, mut degraded) = (0, 0, 0);
+        for case in 0..400 {
+            let (cluster, running, queue) = random_state(&mut rng, now);
+            let memory = match rng.bounded_u64(5) {
+                0 => MemoryPolicy::LocalOnly,
+                1 => MemoryPolicy::PoolFirstFit,
+                2 => MemoryPolicy::PoolBestFit,
+                3 => MemoryPolicy::SlowdownAware { max_dilation: 1.35 },
+                _ => MemoryPolicy::LaxityAware { max_dilation: 1.4 },
+            };
+            let backfill = if rng.bounded_u64(2) == 0 {
+                BackfillPolicy::Easy
+            } else {
+                BackfillPolicy::Conservative
+            };
+            let order = if rng.bounded_u64(2) == 0 {
+                OrderPolicy::Fcfs
+            } else {
+                OrderPolicy::Sjf
+            };
+            let sched = Scheduler::new(
+                SchedulerBuilder::new()
+                    .order(order)
+                    .backfill(backfill)
+                    .memory(memory)
+                    .inflate_walltime(rng.bounded_u64(2) == 0)
+                    .build(),
+            )
+            .unwrap();
+            let (mut c1, mut q1) = (cluster.clone(), queue.clone());
+            let (mut c2, mut q2) = (cluster, queue);
+            let got = sched.schedule(now, &mut q1, &mut c1, running.view());
+            let want = naive_schedule(&sched, now, &mut q2, &mut c2, running.view());
+            let ctx = format!("case {case}: {}", sched.label());
+            assert_eq!(ids(&got.started), ids(&want.started), "{ctx}: started");
+            for (a, b) in got.started.iter().zip(&want.started) {
+                assert_eq!(a.assignment, b.assignment, "{ctx}: assignment");
+                assert_eq!(a.planned_walltime, b.planned_walltime, "{ctx}: walltime");
+                assert_eq!(
+                    a.dilation.to_bits(),
+                    b.dilation.to_bits(),
+                    "{ctx}: dilation"
+                );
+            }
+            let rejects = |r: &PassResult| -> Vec<(u64, RejectReason)> {
+                r.rejected.iter().map(|(j, why)| (j.id.0, *why)).collect()
+            };
+            assert_eq!(rejects(&got), rejects(&want), "{ctx}: rejected");
+            let left = |q: &WaitQueue| -> Vec<u64> { q.iter().map(|e| e.job.id.0).collect() };
+            assert_eq!(left(&q1), left(&q2), "{ctx}: queue");
+            // Coverage: under FCFS, a start queued behind a job that is
+            // still waiting is a backfill.
+            let first_left = q1.iter().map(|e| (e.enqueued, e.job.id)).min();
+            if order == OrderPolicy::Fcfs {
+                backfilled += got
+                    .started
+                    .iter()
+                    .filter(|s| first_left.is_some_and(|f| (s.job.arrival, s.job.id) > f))
+                    .count();
+            }
+            rejected += want.rejected.len();
+            degraded += usize::from(c1.available_nodes() < c1.total_nodes() as usize);
+        }
+        assert!(
+            backfilled >= 50 && rejected >= 50 && degraded >= 50,
+            "oracle coverage: {backfilled} backfills, {rejected} rejects, {degraded} degraded"
+        );
+    }
+
+    #[derive(Debug)]
+    struct ContractChecked(MemoryPolicy);
+
+    impl Placement for ContractChecked {
+        fn name(&self) -> &str {
+            "contract-checked"
+        }
+        fn nominal_shape(&self, job: &Job, ctx: &SchedContext<'_>) -> Option<(Demand, f64)> {
+            Placement::nominal_shape(&self.0, job, ctx)
+        }
+        fn plan(&self, job: &Job, ctx: &SchedContext<'_>) -> Option<PlannedAllocation> {
+            let plan = Placement::plan(&self.0, job, ctx)?;
+            assert!(
+                plan.assignment.nodes.len() >= job.nodes as usize,
+                "{} planned {} nodes for a {}-node job",
+                self.0.name(),
+                plan.assignment.nodes.len(),
+                job.nodes
+            );
+            Some(plan)
+        }
+    }
+
+    /// Every built-in placement honours the `Placement::plan` contract the
+    /// EASY width filter relies on: at least `job.nodes` nodes per plan.
+    #[test]
+    fn built_in_placements_honour_plan_width_contract() {
+        let mut rng = Pcg64::new(99);
+        let now = SimTime::from_secs(5_000);
+        for memory in [
+            MemoryPolicy::LocalOnly,
+            MemoryPolicy::PoolFirstFit,
+            MemoryPolicy::PoolBestFit,
+            MemoryPolicy::SlowdownAware { max_dilation: 1.35 },
+            MemoryPolicy::LaxityAware { max_dilation: 1.4 },
+        ] {
+            let sched = Scheduler::with_policies(
+                SchedulerBuilder::new().memory(memory).build(),
+                Box::new(OrderPolicy::Fcfs),
+                Box::new(ContractChecked(memory)),
+            )
+            .unwrap();
+            for _ in 0..100 {
+                let (mut cluster, running, mut queue) = random_state(&mut rng, now);
+                sched.schedule(now, &mut queue, &mut cluster, running.view());
+            }
+        }
+    }
+
+    /// A placement that breaks the contract: whenever the job's width is
+    /// free it plans a single node.
+    #[derive(Debug)]
+    struct OneNode;
+
+    impl Placement for OneNode {
+        fn name(&self) -> &str {
+            "one-node"
+        }
+        fn nominal_shape(&self, job: &Job, _: &SchedContext<'_>) -> Option<(Demand, f64)> {
+            let demand = Demand {
+                nodes: job.nodes,
+                remote_per_node: 0,
+            };
+            Some((demand, 1.0))
+        }
+        fn plan(&self, job: &Job, ctx: &SchedContext<'_>) -> Option<PlannedAllocation> {
+            if job.nodes as usize > ctx.cluster.free_nodes() {
+                return None;
+            }
+            let node = ctx.cluster.free_node_iter().next()?;
+            Some(PlannedAllocation {
+                assignment: MemoryAssignment::local(vec![node], job.mem_per_node),
+                dilation: 1.0,
+            })
+        }
+    }
+
+    /// Breaking the contract trips the EASY scan's debug assertion instead
+    /// of silently skewing decisions.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "at least job.nodes nodes")]
+    fn easy_scan_asserts_plan_width_contract() {
+        let sched = Scheduler::with_policies(
+            SchedulerBuilder::new().build(),
+            Box::new(OrderPolicy::Fcfs),
+            Box::new(OneNode),
+        )
+        .unwrap();
+        let mut cluster = small_cluster();
+        let mut running = ReleaseIndex::new();
+        park(&mut cluster, &mut running, 100, &[0, 1], 0, 100);
+        let mut queue = WaitQueue::new();
+        // The 4-node head blocks (2 nodes free), so the scan plans the
+        // 2-node job behind it and receives a single node.
+        queue.push(job(1, 4, 500, 1000), SimTime::ZERO);
+        queue.push(job(2, 2, 50, 100), SimTime::ZERO);
+        sched.schedule(SimTime::ZERO, &mut queue, &mut cluster, running.view());
     }
 }

@@ -160,6 +160,11 @@ pub trait Placement: std::fmt::Debug + Send + Sync {
 
     /// Try to place `job` on the cluster **right now**. `None` when no
     /// placement exists under this policy at this instant.
+    ///
+    /// Contract: a returned assignment occupies **at least `job.nodes`
+    /// nodes** (more when memory inflates the shape). The EASY scan relies
+    /// on it to skip planning jobs wider than the nodes free now, and
+    /// checks it with a debug assertion.
     fn plan(&self, job: &Job, ctx: &SchedContext<'_>) -> Option<PlannedAllocation>;
 
     /// The smallest dilation any shape this policy would consider can
