@@ -26,7 +26,18 @@
 //! verdicts for jobs a pass left queued, and the simulation engine acts on
 //! them (emitting reject/defer events, scheduling re-check wake-ups,
 //! driving preemption between passes).
+//!
+//! Both price a deadline the same way, through [`DeadlinePrice`]: the
+//! laxity test against the smallest dilation the placement can achieve
+//! ([`Placement::best_dilation`]). That dilation depends only on the job,
+//! the machine spec and the model, so the scheduler works it out once per
+//! queued job and keeps it in the [`QueuedJob`] entry; later passes, and
+//! the engine's preemption scan, reuse it. The nominal shape, which also
+//! reads the pass instant, is asked for only when its answer can change
+//! the verdict — never for a laxity-feasible job on a machine with every
+//! node up under `RejectInfeasible`.
 
+use crate::queue::QueuedJob;
 use crate::traits::{Placement, SchedContext};
 use dmhpc_des::time::SimTime;
 use dmhpc_workload::Job;
@@ -110,14 +121,17 @@ impl AdmissionPolicy {
     /// always admitted: admission control is a deadline mechanism, and a
     /// run without SLO stamps behaves identically under every policy.
     ///
-    /// Feasibility is the laxity test: a shape with predicted dilation `d`
-    /// started *now* finishes by the deadline iff
-    /// `walltime × (d − 1) ≤ laxity`, using the best (smallest) dilation
-    /// the placement policy can achieve. `RejectInfeasible` additionally
-    /// demands the job's nominal node count fit the machine's current
-    /// up-capacity, so capacity lost to faults fails jobs fast;
+    /// Feasibility is the laxity test ([`DeadlinePrice::meets`]): a shape
+    /// with predicted dilation `d` started *now* finishes by the deadline
+    /// iff `walltime × (d − 1) ≤ laxity`, using the best (smallest)
+    /// dilation the placement policy can achieve. `RejectInfeasible`
+    /// additionally demands the job's nominal node count fit the machine's
+    /// current up-capacity, so capacity lost to faults fails jobs fast;
     /// `DeferUntilFeasible` assesses the healthy machine and defers
     /// instead, so transient degradation never terminally strands a job.
+    ///
+    /// This form prices the job from scratch; scheduling passes go
+    /// through the queue entry's memo instead, with identical verdicts.
     pub fn assess(
         &self,
         job: &Job,
@@ -127,32 +141,68 @@ impl AdmissionPolicy {
         if matches!(self, AdmissionPolicy::AdmitAll) {
             return AdmissionVerdict::Admit;
         }
-        let Some(deadline) = ctx.deadline(job) else {
+        let Some(price) = DeadlinePrice::of(job, ctx) else {
             return AdmissionVerdict::Admit;
         };
-        let Some(laxity) = ctx.laxity_s(job) else {
+        let best = placement.best_dilation(job, ctx);
+        self.verdict(job, price, best, ctx, placement)
+    }
+
+    /// [`AdmissionPolicy::assess`] for a queue entry, pricing its best
+    /// dilation once and reusing it on every later pass.
+    pub(crate) fn assess_queued(
+        &self,
+        entry: &mut QueuedJob,
+        ctx: &SchedContext<'_>,
+        placement: &dyn Placement,
+    ) -> AdmissionVerdict {
+        if matches!(self, AdmissionPolicy::AdmitAll) {
+            return AdmissionVerdict::Admit;
+        }
+        let Some(price) = DeadlinePrice::of(&entry.job, ctx) else {
             return AdmissionVerdict::Admit;
         };
-        // Jobs impossible even on an idle machine are the scheduling
-        // pass's problem (rejected at the queue head as CapacityExceeded);
-        // admission only prices deadlines.
-        let Some((demand, _)) = placement.nominal_shape(job, ctx) else {
-            return AdmissionVerdict::Admit;
-        };
-        let best = placement.best_dilation(job, ctx).unwrap_or(1.0);
-        let wall = job.walltime.as_secs_f64();
-        let meets = laxity >= 0.0 && wall * (best - 1.0) <= laxity;
+        let best = entry.price_best_dilation(ctx, placement);
+        self.verdict(&entry.job, price, best, ctx, placement)
+    }
+
+    /// The verdict for a priced, deadline-stamped job. Jobs impossible
+    /// even on an idle machine (no nominal shape) are the scheduling
+    /// pass's problem — rejected at the queue head as `CapacityExceeded`
+    /// — so admission admits them and only prices deadlines.
+    fn verdict(
+        &self,
+        job: &Job,
+        price: DeadlinePrice,
+        best: Option<f64>,
+        ctx: &SchedContext<'_>,
+        placement: &dyn Placement,
+    ) -> AdmissionVerdict {
+        let best = best.unwrap_or(1.0);
+        let meets = price.meets(best);
         match self {
-            AdmissionPolicy::AdmitAll => unreachable!("handled above"),
+            AdmissionPolicy::AdmitAll => AdmissionVerdict::Admit,
             AdmissionPolicy::RejectInfeasible => {
-                let up = ctx.cluster.available_nodes() >= demand.nodes as usize;
-                if meets && up {
+                let available = ctx.cluster.available_nodes();
+                // A `Some` nominal shape never has more than `total_nodes`
+                // nodes, so with every node up the capacity test passes
+                // whatever the shape is, and so does a missing shape.
+                if meets && available == ctx.cluster.total_nodes() as usize {
+                    return AdmissionVerdict::Admit;
+                }
+                let Some((demand, _)) = placement.nominal_shape(job, ctx) else {
+                    return AdmissionVerdict::Admit;
+                };
+                if meets && available >= demand.nodes as usize {
                     AdmissionVerdict::Admit
                 } else {
                     AdmissionVerdict::Reject(RejectReason::DeadlineInfeasible)
                 }
             }
             AdmissionPolicy::DeferUntilFeasible => {
+                if placement.nominal_shape(job, ctx).is_none() {
+                    return AdmissionVerdict::Admit;
+                }
                 if !meets {
                     return AdmissionVerdict::Reject(RejectReason::DeadlineInfeasible);
                 }
@@ -161,11 +211,49 @@ impl AdmissionPolicy {
                 // late. At that boundary the laxity test still passes with
                 // equality, so fall back to the deadline itself — there
                 // laxity is strictly negative and the reject arm fires.
-                let lapse = SimTime::from_secs_f64(deadline.as_secs_f64() - wall * best);
-                let recheck_at = if lapse > ctx.now { lapse } else { deadline };
+                let lapse =
+                    SimTime::from_secs_f64(price.deadline.as_secs_f64() - price.walltime_s * best);
+                let recheck_at = if lapse > ctx.now {
+                    lapse
+                } else {
+                    price.deadline
+                };
                 AdmissionVerdict::Defer { recheck_at }
             }
         }
+    }
+}
+
+/// A deadline-stamped job's terms at one pass instant: what admission and
+/// preemption price feasibility with.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DeadlinePrice {
+    /// The job's absolute start deadline ([`SchedContext::deadline`]).
+    pub deadline: SimTime,
+    /// Seconds of slack left at the pass instant
+    /// ([`SchedContext::laxity_s`]).
+    pub laxity_s: f64,
+    /// The job's requested walltime, in seconds.
+    pub walltime_s: f64,
+}
+
+impl DeadlinePrice {
+    /// The terms for `job` at `ctx.now`; `None` when no deadline
+    /// constrains the job.
+    pub fn of(job: &Job, ctx: &SchedContext<'_>) -> Option<Self> {
+        let deadline = ctx.deadline(job)?;
+        Some(DeadlinePrice {
+            deadline,
+            laxity_s: ctx.laxity_at(deadline, job),
+            walltime_s: job.walltime.as_secs_f64(),
+        })
+    }
+
+    /// The laxity test: started now in a shape of dilation `best`, the job
+    /// runs out its walltime by the deadline — `walltime × (best − 1) ≤
+    /// laxity`, on a deadline not already lost.
+    pub fn meets(&self, best: f64) -> bool {
+        self.laxity_s >= 0.0 && self.walltime_s * (best - 1.0) <= self.laxity_s
     }
 }
 

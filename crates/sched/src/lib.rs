@@ -71,7 +71,9 @@ mod queue;
 mod release;
 mod traits;
 
-pub use admission::{AdmissionPolicy, AdmissionVerdict, PreemptPolicy, RejectReason};
+pub use admission::{
+    AdmissionPolicy, AdmissionVerdict, DeadlinePrice, PreemptPolicy, RejectReason,
+};
 pub use memory::{MemoryPolicy, PlannedAllocation};
 pub use meta::{
     LeastMemoryPressure, LeastQueueDepth, MetaPolicy, MetaPolicyKind, RoundRobin, SiteSnapshot,

@@ -3,18 +3,65 @@
 use crate::queue::QueuedJob;
 use crate::traits::{PassDirective, SchedContext};
 use dmhpc_des::time::{SimDuration, SimTime};
+use dmhpc_workload::JobId;
 use std::cell::RefCell;
+use std::cmp::Reverse;
+use std::thread::LocalKey;
 
-/// WFP pass scratch: the scored index buffer and the permutation snapshot.
-type WfpScratch = (Vec<(f64, usize)>, Vec<QueuedJob>);
+/// A queue entry's sort key, computed once per pass, and its position.
+type Keyed<K> = Vec<(K, usize)>;
+/// The tie-break every ordering ends with.
+type Fifo = (SimTime, JobId);
 
 thread_local! {
-    /// Per-thread scratch reused across WFP passes: the scored index
-    /// buffer and the permutation snapshot. Ordering runs on every
-    /// scheduling pass of every engine, and engines are thread-confined,
-    /// so reusing these buffers drops the pass's steady-state allocations
-    /// to zero without changing the produced order.
-    static WFP_SCRATCH: RefCell<WfpScratch> = const { RefCell::new((Vec::new(), Vec::new())) };
+    /// Per-thread key buffers reused across passes, one per key type.
+    /// Ordering runs on every scheduling pass of every engine, and engines
+    /// are thread-confined, so reusing these buffers drops the pass's
+    /// steady-state allocations to zero without changing the order.
+    static DEADLINE_KEYS: RefCell<Keyed<(SimTime, Fifo)>> = const { RefCell::new(Vec::new()) };
+    static SCORE_KEYS: RefCell<Keyed<(i64, Fifo)>> = const { RefCell::new(Vec::new()) };
+    static WFP_KEYS: RefCell<Keyed<(Reverse<i64>, Fifo)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// `x` as an integer whose order is [`f64::total_cmp`]'s, so float scores
+/// can be sort keys: flipping the magnitude bits of negative values turns
+/// the sign-magnitude layout into two's-complement order.
+fn total_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// Sort `entries` by `key`, evaluated once per entry instead of once per
+/// comparison, in the reused buffer `scratch`. Positions break key ties,
+/// so the result equals a stable sort by `key`; every built-in key ends
+/// in the unique `(arrival, id)` pair anyway.
+fn sort_by_pass_key<K: Ord>(
+    scratch: &'static LocalKey<RefCell<Keyed<K>>>,
+    entries: &mut [QueuedJob],
+    key: impl Fn(&QueuedJob) -> K,
+) {
+    scratch.with(|keys| {
+        let keys = &mut *keys.borrow_mut();
+        keys.clear();
+        keys.extend(entries.iter().map(key).zip(0..));
+        keys.sort_unstable();
+        // Apply the permutation in place with swaps: position `i` takes the
+        // entry that started at `keys[i].1`, following the chain of earlier
+        // swaps when that entry has already moved.
+        for i in 0..keys.len() {
+            let mut src = keys[i].1;
+            while src < i {
+                src = keys[src].1;
+            }
+            keys[i].1 = src;
+            entries.swap(i, src);
+        }
+    });
+}
+
+/// The `(arrival, id)` tie-break of `e`.
+fn fifo(e: &QueuedJob) -> Fifo {
+    (e.job.arrival, e.job.id)
 }
 
 /// How the wait queue is ordered before each scheduling pass.
@@ -76,59 +123,38 @@ impl OrderPolicy {
     pub fn order(&self, entries: &mut [QueuedJob], ctx: &SchedContext<'_>) {
         match *self {
             OrderPolicy::Fcfs | OrderPolicy::BatchBudget { .. } => {
-                entries.sort_by_key(|e| (e.job.arrival, e.job.id));
+                entries.sort_by_key(fifo);
             }
             OrderPolicy::Sjf => {
-                entries.sort_by_key(|e| (e.job.walltime, e.job.arrival, e.job.id));
+                entries.sort_by_key(|e| (e.job.walltime, fifo(e)));
             }
             OrderPolicy::LargestFirst => {
-                entries.sort_by_key(|e| (std::cmp::Reverse(e.job.nodes), e.job.arrival, e.job.id));
+                entries.sort_by_key(|e| (Reverse(e.job.nodes), fifo(e)));
             }
             OrderPolicy::Edf => {
                 // Deadline-free jobs get the MAX sentinel: they queue
                 // behind every constrained job, FCFS among themselves.
-                entries.sort_by_key(|e| {
-                    (
-                        ctx.deadline(&e.job).unwrap_or(SimTime::MAX),
-                        e.job.arrival,
-                        e.job.id,
-                    )
+                sort_by_pass_key(&DEADLINE_KEYS, entries, |e| {
+                    (ctx.deadline(&e.job).unwrap_or(SimTime::MAX), fifo(e))
                 });
             }
             OrderPolicy::LeastLaxity => {
-                entries.sort_by(|a, b| {
-                    let la = ctx.laxity_s(&a.job).unwrap_or(f64::INFINITY);
-                    let lb = ctx.laxity_s(&b.job).unwrap_or(f64::INFINITY);
-                    la.total_cmp(&lb)
-                        .then_with(|| (a.job.arrival, a.job.id).cmp(&(b.job.arrival, b.job.id)))
+                sort_by_pass_key(&SCORE_KEYS, entries, |e| {
+                    (
+                        total_key(ctx.laxity_s(&e.job).unwrap_or(f64::INFINITY)),
+                        fifo(e),
+                    )
                 });
             }
             OrderPolicy::Wfp { exponent } => {
-                // Score is recomputed against `now` each pass; cache it so
-                // the comparator stays cheap and consistent.
+                // The score is recomputed against `now` each pass.
                 let now = ctx.now;
-                WFP_SCRATCH.with(|scratch| {
-                    let (scored, snapshot) = &mut *scratch.borrow_mut();
-                    scored.clear();
-                    scored.extend(entries.iter().enumerate().map(|(i, e)| {
-                        let wait = now.saturating_since(e.job.arrival).as_secs_f64();
-                        let wall = e.job.walltime.as_secs_f64().max(1.0);
-                        let score = (wait / wall).powf(exponent) * e.job.nodes as f64;
-                        (score, i)
-                    }));
-                    scored.sort_by(|a, b| {
-                        // lint: allow(panic) — ordering scores are finite arithmetic on validated jobs; NaN is a policy bug
-                        b.0.partial_cmp(&a.0).expect("finite scores").then_with(|| {
-                            let (ja, jb) = (&entries[a.1].job, &entries[b.1].job);
-                            (ja.arrival, ja.id).cmp(&(jb.arrival, jb.id))
-                        })
-                    });
-                    // Apply the permutation: entries[k] = old entries[scored[k].1].
-                    snapshot.clear();
-                    snapshot.extend_from_slice(entries);
-                    for (dst, &(_, src)) in scored.iter().enumerate() {
-                        entries[dst] = snapshot[src].clone();
-                    }
+                sort_by_pass_key(&WFP_KEYS, entries, |e| {
+                    let wait = now.saturating_since(e.job.arrival).as_secs_f64();
+                    let wall = e.job.walltime.as_secs_f64().max(1.0);
+                    let score = (wait / wall).powf(exponent) * e.job.nodes as f64;
+                    debug_assert!(!score.is_nan(), "WFP score of job {} is NaN", e.job.id.0);
+                    (Reverse(total_key(score)), fifo(e))
                 });
             }
         }
@@ -209,15 +235,15 @@ mod tests {
     }
 
     fn queued(id: u64, arrival_s: u64, nodes: u32, wall_s: u64) -> QueuedJob {
-        QueuedJob {
-            job: JobBuilder::new(id)
+        QueuedJob::new(
+            JobBuilder::new(id)
                 .arrival_secs(arrival_s)
                 .nodes(nodes)
                 .runtime(SimDuration::from_secs(wall_s.min(60)))
                 .walltime(SimDuration::from_secs(wall_s))
                 .build(),
-            enqueued: SimTime::from_secs(arrival_s),
-        }
+            SimTime::from_secs(arrival_s),
+        )
     }
 
     fn queued_slo(id: u64, arrival_s: u64, wall_s: u64, slo: Slo) -> QueuedJob {
@@ -421,5 +447,80 @@ mod tests {
         let mut q = vec![queued(1, 0, 1, 10)];
         order_at(OrderPolicy::Wfp { exponent: 2.0 }, &mut q, 0);
         assert_eq!(q[0].job.id, JobId(1));
+    }
+
+    /// The once-per-pass keyed sorts give exactly the order the
+    /// per-comparison sorts they replaced give, on seeded random queues
+    /// dense with key ties (shared arrivals, deadlines and walltimes).
+    #[test]
+    fn pass_keys_match_per_comparison_sorts() {
+        let mut rng = dmhpc_des::rng::Pcg64::new(77);
+        for case in 0..300 {
+            let now_s = 1_000 + rng.bounded_u64(5_000);
+            let mut q: Vec<QueuedJob> = (0..rng.bounded_u64(40))
+                .map(|id| {
+                    let arrival_s = rng.bounded_u64(8) * 100;
+                    let wall_s = 1 + rng.bounded_u64(4) * 500;
+                    let mut e = queued(id, arrival_s, 1 + rng.bounded_u64(8) as u32, wall_s);
+                    e.job.slo = match rng.bounded_u64(3) {
+                        0 => None,
+                        1 => Some(Slo::Deadline {
+                            deadline_s: 100.0 * (1 + rng.bounded_u64(30)) as f64,
+                        }),
+                        _ => Some(Slo::BudgetFactor {
+                            factor: 0.5 * (1 + rng.bounded_u64(6)) as f64,
+                        }),
+                    };
+                    e
+                })
+                .collect();
+            let slo_wait_s = (rng.bounded_u64(2) == 0).then_some(900.0);
+            let c = cluster();
+            let model = SlowdownModel::None;
+            let ctx = SchedContext::new(
+                SimTime::from_secs(now_s),
+                &c,
+                &model,
+                ReleaseView::empty(),
+                slo_wait_s,
+            );
+            let mut edf = q.clone();
+            edf.sort_by_key(|e| {
+                (
+                    ctx.deadline(&e.job).unwrap_or(SimTime::MAX),
+                    e.job.arrival,
+                    e.job.id,
+                )
+            });
+            let mut llf = q.clone();
+            llf.sort_by(|a, b| {
+                let la = ctx.laxity_s(&a.job).unwrap_or(f64::INFINITY);
+                let lb = ctx.laxity_s(&b.job).unwrap_or(f64::INFINITY);
+                la.total_cmp(&lb)
+                    .then_with(|| (a.job.arrival, a.job.id).cmp(&(b.job.arrival, b.job.id)))
+            });
+            let mut wfp = q.clone();
+            let score = |e: &QueuedJob| {
+                let wait = ctx.now.saturating_since(e.job.arrival).as_secs_f64();
+                let wall = e.job.walltime.as_secs_f64().max(1.0);
+                (wait / wall).powf(3.0) * e.job.nodes as f64
+            };
+            wfp.sort_by(|a, b| {
+                score(b)
+                    .partial_cmp(&score(a))
+                    .unwrap()
+                    .then_with(|| (a.job.arrival, a.job.id).cmp(&(b.job.arrival, b.job.id)))
+            });
+            for (policy, want) in [
+                (OrderPolicy::Edf, edf),
+                (OrderPolicy::LeastLaxity, llf),
+                (OrderPolicy::Wfp { exponent: 3.0 }, wfp),
+            ] {
+                policy.order(&mut q, &ctx);
+                assert_eq!(ids(&q), ids(&want), "case {case}: {}", policy.name());
+                // Scramble again so the next policy starts from disorder.
+                q.reverse();
+            }
+        }
     }
 }

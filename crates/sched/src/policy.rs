@@ -467,7 +467,9 @@ impl Scheduler {
     /// re-check instant. A no-op under the default
     /// [`AdmissionPolicy::AdmitAll`] — and on held passes, which return
     /// before scheduling anything (the engine re-passes at `hold_until`,
-    /// well inside any deadline a batch budget could threaten).
+    /// well inside any deadline a batch budget could threaten). Each
+    /// entry's best dilation is priced on its first assessment and reused
+    /// on every later pass.
     fn admission_pass(
         &self,
         now: SimTime,
@@ -484,10 +486,10 @@ impl Scheduler {
             let verdict = {
                 let ctx = self.ctx(now, cluster, running);
                 // lint: allow(panic) — the loop condition maintains idx < queue.len()
-                let job = &queue.get(idx).expect("idx < len").job;
+                let entry = queue.get_mut(idx).expect("idx < len");
                 self.cfg
                     .admission
-                    .assess(job, &ctx, self.placement.as_ref())
+                    .assess_queued(entry, &ctx, self.placement.as_ref())
             };
             match verdict {
                 AdmissionVerdict::Admit => idx += 1,
@@ -1602,6 +1604,324 @@ mod tests {
         // 2-node job behind it and receives a single node.
         queue.push(job(1, 4, 500, 1000), SimTime::ZERO);
         queue.push(job(2, 2, 50, 100), SimTime::ZERO);
+        sched.schedule(SimTime::ZERO, &mut queue, &mut cluster, running.view());
+    }
+
+    /// The five built-in placements, as the oracles below cycle through
+    /// them.
+    const PLACEMENTS: [MemoryPolicy; 5] = [
+        MemoryPolicy::LocalOnly,
+        MemoryPolicy::PoolFirstFit,
+        MemoryPolicy::PoolBestFit,
+        MemoryPolicy::SlowdownAware { max_dilation: 1.35 },
+        MemoryPolicy::LaxityAware { max_dilation: 1.4 },
+    ];
+
+    /// Stamp most of `queue` with random deadlines, tight to lenient, so
+    /// admission sees lost, feasible and unconstrained jobs.
+    fn stamp_randomly(rng: &mut Pcg64, queue: &mut WaitQueue) {
+        for e in queue.entries_mut() {
+            e.job.slo = match rng.bounded_u64(4) {
+                0 => None,
+                1 => Some(dmhpc_workload::Slo::BudgetFactor {
+                    factor: 0.25 + rng.bounded_u64(400) as f64 / 100.0,
+                }),
+                _ => Some(dmhpc_workload::Slo::Deadline {
+                    deadline_s: 1.0 + rng.bounded_u64(30_000) as f64,
+                }),
+            };
+        }
+    }
+
+    /// `AdmissionPolicy::assess` as it read before pricing was memoized:
+    /// nominal shape first, then the best dilation, every time.
+    fn reference_verdict(
+        policy: AdmissionPolicy,
+        job: &Job,
+        ctx: &SchedContext<'_>,
+        placement: &dyn Placement,
+    ) -> AdmissionVerdict {
+        if policy == AdmissionPolicy::AdmitAll {
+            return AdmissionVerdict::Admit;
+        }
+        let (Some(deadline), Some(laxity)) = (ctx.deadline(job), ctx.laxity_s(job)) else {
+            return AdmissionVerdict::Admit;
+        };
+        let Some((demand, _)) = placement.nominal_shape(job, ctx) else {
+            return AdmissionVerdict::Admit;
+        };
+        let best = placement.best_dilation(job, ctx).unwrap_or(1.0);
+        let wall = job.walltime.as_secs_f64();
+        let meets = laxity >= 0.0 && wall * (best - 1.0) <= laxity;
+        if policy == AdmissionPolicy::RejectInfeasible {
+            let up = ctx.cluster.available_nodes() >= demand.nodes as usize;
+            return if meets && up {
+                AdmissionVerdict::Admit
+            } else {
+                AdmissionVerdict::Reject(RejectReason::DeadlineInfeasible)
+            };
+        }
+        if !meets {
+            return AdmissionVerdict::Reject(RejectReason::DeadlineInfeasible);
+        }
+        let lapse = SimTime::from_secs_f64(deadline.as_secs_f64() - wall * best);
+        let recheck_at = if lapse > ctx.now { lapse } else { deadline };
+        AdmissionVerdict::Defer { recheck_at }
+    }
+
+    /// The naive admission pass: `AdmissionPolicy::assess` per queued job,
+    /// nothing memoized, each verdict checked against the reference.
+    fn naive_admission(
+        sched: &Scheduler,
+        now: SimTime,
+        queue: &mut WaitQueue,
+        cluster: &Cluster,
+        running: ReleaseView<'_>,
+    ) -> PassResult {
+        let mut result = PassResult::default();
+        let ctx = sched.ctx(now, cluster, running);
+        let placement = sched.placement.as_ref();
+        let mut idx = 0;
+        while idx < queue.len() {
+            let job = &queue.get(idx).unwrap().job;
+            let verdict = sched.cfg.admission.assess(job, &ctx, placement);
+            let reference = reference_verdict(sched.cfg.admission, job, &ctx, placement);
+            assert_eq!(verdict, reference, "assess diverged from the reference");
+            match verdict {
+                AdmissionVerdict::Admit => idx += 1,
+                AdmissionVerdict::Defer { recheck_at } => {
+                    result.deferred.push((job.id, recheck_at));
+                    let earliest = result.recheck_at.map_or(recheck_at, |t| t.min(recheck_at));
+                    result.recheck_at = Some(earliest);
+                    idx += 1;
+                }
+                AdmissionVerdict::Reject(reason) => {
+                    result.rejected.push((queue.remove(idx).job, reason));
+                }
+            }
+        }
+        result
+    }
+
+    /// Differential oracle: the memoized admission pass decides exactly
+    /// what a naive per-job `assess` loop decides, on seeded random
+    /// queues over healthy and degraded machines, for both admission
+    /// modes and every built-in placement. Each case runs two passes —
+    /// the second after the machine changed, on entries the first one
+    /// priced — so memo hits are compared too.
+    #[test]
+    fn admission_pass_matches_naive_assess_loop() {
+        let mut rng = Pcg64::new(1313);
+        let (mut rejected, mut deferred, mut degraded, mut repriced) = (0, 0, 0, 0);
+        for case in 0..400 {
+            let now = SimTime::from_secs(5_000);
+            let (mut cluster, running, mut queue) = random_state(&mut rng, now);
+            stamp_randomly(&mut rng, &mut queue);
+            let admission = if rng.bounded_u64(2) == 0 {
+                AdmissionPolicy::RejectInfeasible
+            } else {
+                AdmissionPolicy::DeferUntilFeasible
+            };
+            let memory = PLACEMENTS[case % PLACEMENTS.len()];
+            let sched = Scheduler::new(
+                SchedulerBuilder::new()
+                    .memory(memory)
+                    .admission(admission)
+                    .build(),
+            )
+            .unwrap();
+            let mut naive_queue = queue.clone();
+            let label = format!("case {case}: {}", sched.config().full_label());
+            for pass in 0..2 {
+                let now = now + SimDuration::from_secs(pass * rng.bounded_u64(4_000));
+                if pass == 1 {
+                    // Change occupancy or health between the passes.
+                    if rng.bounded_u64(2) == 0 {
+                        let node = cluster.free_node_iter().next();
+                        if let Some(node) = node {
+                            cluster.fail_node(node).unwrap();
+                        }
+                    } else if !cluster.pools().is_empty() {
+                        cluster
+                            .set_pool_health(dmhpc_platform::PoolId(0), 0.5)
+                            .unwrap();
+                    }
+                    repriced += queue.len();
+                }
+                let mut got = PassResult::default();
+                sched.admission_pass(now, &mut queue, &cluster, running.view(), &mut got);
+                let want = naive_admission(&sched, now, &mut naive_queue, &cluster, running.view());
+                let rejects = |r: &PassResult| -> Vec<(u64, RejectReason)> {
+                    r.rejected.iter().map(|(j, why)| (j.id.0, *why)).collect()
+                };
+                assert_eq!(
+                    rejects(&got),
+                    rejects(&want),
+                    "{label} pass {pass}: rejected"
+                );
+                assert_eq!(got.deferred, want.deferred, "{label} pass {pass}: deferred");
+                assert_eq!(
+                    got.recheck_at, want.recheck_at,
+                    "{label} pass {pass}: recheck"
+                );
+                let left = |q: &WaitQueue| -> Vec<u64> { q.iter().map(|e| e.job.id.0).collect() };
+                assert_eq!(
+                    left(&queue),
+                    left(&naive_queue),
+                    "{label} pass {pass}: queue"
+                );
+                rejected += want.rejected.len();
+                deferred += want.deferred.len();
+                degraded += usize::from(cluster.available_nodes() < cluster.total_nodes() as usize);
+            }
+        }
+        assert!(
+            rejected >= 1_000 && deferred >= 1_000 && degraded >= 200 && repriced >= 2_000,
+            "oracle coverage: {rejected} rejects, {deferred} defers, \
+             {degraded} degraded passes, {repriced} memo hits"
+        );
+    }
+
+    /// The contracts admission's shortcuts rest on, for every built-in
+    /// placement on random pass instants, occupancy and health:
+    /// `best_dilation` equals its answer on an idle, healthy machine at
+    /// another instant, and a `Some` nominal shape fits the machine.
+    #[test]
+    fn built_in_placements_honour_pricing_contracts() {
+        let mut rng = Pcg64::new(2024);
+        let model = SlowdownModel::Linear { penalty: 1.5 };
+        for case in 0..300 {
+            let now = SimTime::from_secs(1_000 + rng.bounded_u64(20_000));
+            let (cluster, running, mut queue) = random_state(&mut rng, now);
+            stamp_randomly(&mut rng, &mut queue);
+            let idle = Cluster::new(*cluster.spec());
+            let busy_ctx = SchedContext::new(now, &cluster, &model, running.view(), None);
+            let idle_ctx =
+                SchedContext::new(SimTime::ZERO, &idle, &model, ReleaseView::empty(), None);
+            let total = cluster.total_nodes();
+            for memory in PLACEMENTS {
+                for e in queue.iter() {
+                    let job = &e.job;
+                    let label = format!("case {case}: {} job {}", memory.name(), job.id.0);
+                    assert_eq!(
+                        Placement::best_dilation(&memory, job, &busy_ctx).map(f64::to_bits),
+                        Placement::best_dilation(&memory, job, &idle_ctx).map(f64::to_bits),
+                        "{label}: best_dilation read pass state"
+                    );
+                    if let Some((demand, _)) = Placement::nominal_shape(&memory, job, &busy_ctx) {
+                        assert!(demand.nodes <= total, "{label}: {} nodes", demand.nodes);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A placement whose best dilation is a dial the test turns, counting
+    /// its calls.
+    #[derive(Debug, Default)]
+    struct Dial {
+        dilation_bits: std::sync::atomic::AtomicU64,
+        calls: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Dial {
+        fn shared(dilation: f64) -> std::sync::Arc<Self> {
+            let dial = Dial::default();
+            dial.set(dilation);
+            std::sync::Arc::new(dial)
+        }
+        fn set(&self, dilation: f64) {
+            use std::sync::atomic::Ordering::Relaxed;
+            self.dilation_bits.store(dilation.to_bits(), Relaxed);
+        }
+        fn calls(&self) -> usize {
+            self.calls.load(std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+
+    impl Placement for std::sync::Arc<Dial> {
+        fn name(&self) -> &str {
+            "dial"
+        }
+        fn nominal_shape(&self, job: &Job, ctx: &SchedContext<'_>) -> Option<(Demand, f64)> {
+            Placement::nominal_shape(&MemoryPolicy::LocalOnly, job, ctx)
+        }
+        fn plan(&self, job: &Job, ctx: &SchedContext<'_>) -> Option<PlannedAllocation> {
+            Placement::plan(&MemoryPolicy::LocalOnly, job, ctx)
+        }
+        fn best_dilation(&self, _: &Job, _: &SchedContext<'_>) -> Option<f64> {
+            use std::sync::atomic::Ordering::Relaxed;
+            self.calls.fetch_add(1, Relaxed);
+            Some(f64::from_bits(self.dilation_bits.load(Relaxed)))
+        }
+    }
+
+    fn dial_scheduler(dial: &std::sync::Arc<Dial>) -> Scheduler {
+        Scheduler::with_policies(
+            SchedulerBuilder::new()
+                .admission(AdmissionPolicy::RejectInfeasible)
+                .build(),
+            Box::new(OrderPolicy::Fcfs),
+            Box::new(dial.clone()),
+        )
+        .unwrap()
+    }
+
+    /// Admission prices each queued job once: later passes reuse the memo
+    /// (debug builds add one checking call per hit), and a job removed
+    /// and pushed again — as the engine resubmits interrupted work — is a
+    /// new entry, priced afresh.
+    #[test]
+    fn admission_prices_each_entry_once_and_resubmits_afresh() {
+        let dial = Dial::shared(1.0);
+        let sched = dial_scheduler(&dial);
+        let mut cluster = small_cluster();
+        let mut running = ReleaseIndex::new();
+        park_all(&mut cluster, &mut running, 10_000);
+        let mut queue = WaitQueue::new();
+        // Walltime 100 s, deadline t = 300: laxity 200 s at t = 0.
+        queue.push(stamped_job(1, 100, 300.0), SimTime::ZERO);
+        queue.push(stamped_job(2, 100, 300.0), SimTime::ZERO);
+        let pass = |queue: &mut WaitQueue, cluster: &mut Cluster| {
+            sched.schedule(SimTime::ZERO, queue, cluster, running.view())
+        };
+        assert!(pass(&mut queue, &mut cluster).rejected.is_empty());
+        assert_eq!(dial.calls(), 2, "one pricing call per entry");
+        for _ in 0..3 {
+            assert!(pass(&mut queue, &mut cluster).rejected.is_empty());
+        }
+        let checks = if cfg!(debug_assertions) { 3 * 2 } else { 0 };
+        assert_eq!(dial.calls(), 2 + checks, "later passes hit the memo");
+
+        // Resubmit job 1 after the placement's answer changed: dilation 4
+        // needs 300 s of laxity, so the fresh entry is rejected while the
+        // memo would have admitted it.
+        let entry = queue.remove(0);
+        queue.remove(0);
+        dial.set(4.0);
+        queue.push(entry.job, SimTime::ZERO);
+        let ids: Vec<u64> = {
+            let result = pass(&mut queue, &mut cluster);
+            result.rejected.iter().map(|(j, _)| j.id.0).collect()
+        };
+        assert_eq!(ids, vec![1], "the resubmitted job is priced afresh");
+    }
+
+    /// A placement that breaks the `best_dilation` contract trips the
+    /// memo's debug check instead of silently using a stale price.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "changed since it was memoized")]
+    fn stale_memo_trips_debug_check() {
+        let dial = Dial::shared(1.0);
+        let sched = dial_scheduler(&dial);
+        let mut cluster = small_cluster();
+        let mut running = ReleaseIndex::new();
+        park_all(&mut cluster, &mut running, 10_000);
+        let mut queue = WaitQueue::new();
+        queue.push(stamped_job(1, 100, 300.0), SimTime::ZERO);
+        sched.schedule(SimTime::ZERO, &mut queue, &mut cluster, running.view());
+        dial.set(1.5);
         sched.schedule(SimTime::ZERO, &mut queue, &mut cluster, running.view());
     }
 }

@@ -1,16 +1,70 @@
 //! The wait queue.
 
+use crate::traits::{Placement, SchedContext};
 use dmhpc_des::time::SimTime;
 use dmhpc_workload::{Job, JobId};
 use std::collections::VecDeque;
 
 /// A job waiting to run, with queue metadata.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct QueuedJob {
     /// The job as submitted.
     pub job: Job,
     /// When it entered the queue (== arrival for normal submissions).
     pub enqueued: SimTime,
+    /// [`Placement::best_dilation`] for this job once admission has priced
+    /// it (`None` until then). It depends only on the job, the machine spec
+    /// and the model (the trait's contract), so one call serves every
+    /// later pass.
+    priced: Option<Option<f64>>,
+}
+
+/// Queue entries compare by job and enqueue instant; the memo is a cache.
+impl PartialEq for QueuedJob {
+    fn eq(&self, other: &Self) -> bool {
+        self.job == other.job && self.enqueued == other.enqueued
+    }
+}
+
+impl QueuedJob {
+    /// A fresh, unpriced entry for `job` enqueued at `enqueued`.
+    pub fn new(job: Job, enqueued: SimTime) -> Self {
+        QueuedJob {
+            job,
+            enqueued,
+            priced: None,
+        }
+    }
+
+    /// The job's [`Placement::best_dilation`]: the memo when admission
+    /// has priced it, else a fresh call. Read-only, so scans over a
+    /// borrowed queue (the engine's preemption check) share the memo.
+    /// Debug builds check every memo hit against a fresh call: a placement
+    /// whose `best_dilation` reads pass state breaks the memo's contract.
+    pub fn best_dilation(&self, ctx: &SchedContext<'_>, placement: &dyn Placement) -> Option<f64> {
+        let Some(best) = self.priced else {
+            return placement.best_dilation(&self.job, ctx);
+        };
+        debug_assert_eq!(
+            best.map(f64::to_bits),
+            placement.best_dilation(&self.job, ctx).map(f64::to_bits),
+            "{}: best_dilation of job {} changed since it was memoized",
+            placement.name(),
+            self.job.id.0
+        );
+        best
+    }
+
+    /// [`QueuedJob::best_dilation`], stored for later passes.
+    pub(crate) fn price_best_dilation(
+        &mut self,
+        ctx: &SchedContext<'_>,
+        placement: &dyn Placement,
+    ) -> Option<f64> {
+        let best = self.best_dilation(ctx, placement);
+        self.priced = Some(best);
+        best
+    }
 }
 
 /// Deque-backed wait queue that scheduling passes reorder in place.
@@ -45,14 +99,20 @@ impl WaitQueue {
         self.entries.is_empty()
     }
 
-    /// Enqueue a job at time `now`.
+    /// Enqueue a job at time `now`. The entry starts unpriced, so a
+    /// resubmitted job is priced afresh.
     pub fn push(&mut self, job: Job, now: SimTime) {
-        self.entries.push_back(QueuedJob { job, enqueued: now });
+        self.entries.push_back(QueuedJob::new(job, now));
     }
 
     /// The entry at position `idx`, if any.
     pub fn get(&self, idx: usize) -> Option<&QueuedJob> {
         self.entries.get(idx)
+    }
+
+    /// Mutable access to the entry at position `idx`, if any.
+    pub(crate) fn get_mut(&mut self, idx: usize) -> Option<&mut QueuedJob> {
+        self.entries.get_mut(idx)
     }
 
     /// The queue head (next to schedule), if any.

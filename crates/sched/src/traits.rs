@@ -101,8 +101,12 @@ impl<'a> SchedContext<'a> {
     /// `deadline − now − walltime`. Negative means the deadline is already
     /// tight or lost; `None` means the job carries no deadline.
     pub fn laxity_s(&self, job: &Job) -> Option<f64> {
-        let deadline = self.deadline(job)?;
-        Some(deadline.as_secs_f64() - self.now.as_secs_f64() - job.walltime.as_secs_f64())
+        Some(self.laxity_at(self.deadline(job)?, job))
+    }
+
+    /// [`SchedContext::laxity_s`] for a `deadline` already looked up.
+    pub(crate) fn laxity_at(&self, deadline: SimTime, job: &Job) -> f64 {
+        deadline.as_secs_f64() - self.now.as_secs_f64() - job.walltime.as_secs_f64()
     }
 }
 
@@ -156,6 +160,11 @@ pub trait Placement: std::fmt::Debug + Send + Sync {
     /// The shape this policy would give `job` on an otherwise idle
     /// machine, with its predicted dilation — what reservations are made
     /// of. `None` means the job can never run on this machine.
+    ///
+    /// Contract: a `Some` shape has **at most
+    /// `ctx.cluster.total_nodes()` nodes**. Admission relies on it to
+    /// admit a laxity-feasible job on a machine with every node up without
+    /// asking for the shape at all.
     fn nominal_shape(&self, job: &Job, ctx: &SchedContext<'_>) -> Option<(Demand, f64)>;
 
     /// Try to place `job` on the cluster **right now**. `None` when no
@@ -174,6 +183,14 @@ pub trait Placement: std::fmt::Debug + Send + Sync {
     /// `walltime × (d − 1) ≤ laxity`). The default is the nominal shape's
     /// dilation; policies that enumerate several shapes should override it
     /// with the true minimum.
+    ///
+    /// Contract: the answer depends **only on `job`,
+    /// `ctx.cluster.spec()` and `ctx.model`** — never on the pass instant,
+    /// occupancy or machine health. The scheduler memoizes it per queued
+    /// job (a resubmitted job is priced afresh), and debug builds check
+    /// every memo hit against a fresh call. A policy whose nominal shape
+    /// reads the pass instant or occupancy must therefore override the
+    /// default.
     fn best_dilation(&self, job: &Job, ctx: &SchedContext<'_>) -> Option<f64> {
         self.nominal_shape(job, ctx).map(|(_, dilation)| dilation)
     }
@@ -219,10 +236,7 @@ mod tests {
             .arrival_secs(700)
             .runtime_secs(100, 200)
             .build();
-        let entry = QueuedJob {
-            job: plain.clone(),
-            enqueued: SimTime::from_secs(700),
-        };
+        let entry = QueuedJob::new(plain.clone(), SimTime::from_secs(700));
         assert_eq!(ctx.wait(&entry), SimDuration::from_secs(300));
         // No per-job stamp: the run-wide target applies.
         assert_eq!(ctx.deadline(&plain), Some(SimTime::from_secs(1300)));

@@ -78,8 +78,8 @@ use dmhpc_metrics::{
 };
 use dmhpc_platform::{Cluster, DilationInputs, MemoryAssignment, NodeState};
 use dmhpc_sched::{
-    PreemptPolicy, ReleaseIndex, RunningRelease, SchedContext, Scheduler, SiteSnapshot, StartedJob,
-    WaitQueue,
+    DeadlinePrice, PreemptPolicy, ReleaseIndex, RunningRelease, SchedContext, Scheduler,
+    SiteSnapshot, StartedJob, WaitQueue,
 };
 use dmhpc_workload::{Job, JobId, JobSource, Workload};
 use std::collections::{BTreeMap, BTreeSet};
@@ -1188,29 +1188,26 @@ impl<'a, 'o, Q: EventQueue<Event>> Engine<'a, 'o, Q> {
         let placement = self.scheduler.placement();
         for entry in self.queue.iter() {
             let job = &entry.job;
-            let Some(deadline) = ctx.deadline(job) else {
+            let Some(price) = DeadlinePrice::of(job, &ctx) else {
                 continue;
             };
-            let Some(laxity) = ctx.laxity_s(job) else {
-                continue;
-            };
-            if laxity < 0.0 {
+            if price.laxity_s < 0.0 {
                 continue; // deadline already lost: preemption cannot help
+            }
+            let Some(best) = entry.best_dilation(&ctx, placement) else {
+                continue;
+            };
+            if !price.meets(best) {
+                continue; // cannot meet even if started this instant
+            }
+            if first_release.as_secs_f64() + price.walltime_s * best <= price.deadline.as_secs_f64()
+            {
+                continue; // waiting for the next natural release still meets
             }
             let Some((demand, _)) = placement.nominal_shape(job, &ctx) else {
                 continue;
             };
-            let Some(best) = placement.best_dilation(job, &ctx) else {
-                continue;
-            };
-            let wall = job.walltime.as_secs_f64();
-            if wall * (best - 1.0) > laxity {
-                continue; // cannot meet even if started this instant
-            }
-            if first_release.as_secs_f64() + wall * best <= deadline.as_secs_f64() {
-                continue; // waiting for the next natural release still meets
-            }
-            return Some((job.id, laxity, demand.nodes as usize));
+            return Some((job.id, price.laxity_s, demand.nodes as usize));
         }
         None
     }

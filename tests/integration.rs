@@ -1248,3 +1248,118 @@ fn fault_cells_cache_and_replay_byte_identically() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ------------------------------------------------------ deadline pricing
+
+/// Counts admission deferrals and preemptions by event.
+#[derive(Default)]
+struct AdmissionTally {
+    deferred: usize,
+    preempted: usize,
+}
+
+impl Observer for AdmissionTally {
+    fn on_event(&mut self, ev: &SimEvent) {
+        match ev {
+            SimEvent::JobDeferred { .. } => self.deferred += 1,
+            SimEvent::JobPreempted { .. } => self.preempted += 1,
+            _ => {}
+        }
+    }
+}
+
+/// Golden hashes for the deadline-pricing branches the benchmark's pinned
+/// open-stream hash never takes: a closed, deadline-stamped HighThroughput
+/// batch (300 jobs, seed 17, budget factors 1.2–3.0, load rescaled to 1.1)
+/// on 2×16 nodes with 384 GiB rack pools under EDF + laxity-aware
+/// placement, no backfill. `RejectInfeasible` under the fault storm prices
+/// jobs on a degraded machine; `DeferUntilFeasible` runs clean and under
+/// the storm; `LaxityCheckpoint` drives the preemption scan. Captured
+/// before admission pricing was memoized per queued job; the reject,
+/// defer and preempt counts pin that every branch actually runs.
+#[test]
+fn deadline_pricing_paths_match_golden_hashes() {
+    let mut spec = SystemPreset::HighThroughput.synthetic_spec(300);
+    spec.slo = Some(SloModel {
+        factor_min: 1.2,
+        factor_max: 3.0,
+    });
+    let cluster = ClusterSpec::new(2, 16, NodeSpec::new(32, 192 * 1024), per_rack(384));
+    let w = transform::rescale_load(&spec.generate(17), cluster.total_nodes(), 1.1);
+    let stack = |admission, preempt| {
+        SchedulerBuilder::new()
+            .order(OrderPolicy::Edf)
+            .backfill(BackfillPolicy::None)
+            .memory(MemoryPolicy::LaxityAware { max_dilation: 1.4 })
+            .slowdown(SlowdownModel::Contention {
+                penalty: 1.5,
+                gamma: 1.0,
+            })
+            .admission(admission)
+            .preempt(preempt)
+            .build()
+    };
+    let defer = stack(AdmissionPolicy::DeferUntilFeasible, PreemptPolicy::Never);
+    let preempt = stack(
+        AdmissionPolicy::RejectInfeasible,
+        PreemptPolicy::LaxityCheckpoint { overhead_s: 60 },
+    );
+    let reject = stack(AdmissionPolicy::RejectInfeasible, PreemptPolicy::Never);
+    // (name, scheduler, faults, trace hash, rejected, deferred, preempted)
+    let cases = [
+        (
+            "reject+storm",
+            reject,
+            stormy_faults(),
+            0x24042245c5afe650u64,
+            10,
+            0,
+            0,
+        ),
+        (
+            "defer",
+            defer,
+            FaultSpec::none(),
+            0xece695d31676cbb7,
+            10,
+            146,
+            0,
+        ),
+        (
+            "defer+storm",
+            defer,
+            stormy_faults(),
+            0xd32b1f97b0318c15,
+            10,
+            198,
+            0,
+        ),
+        (
+            "preempt",
+            preempt,
+            FaultSpec::none(),
+            0x4d8ccf5564dfb2d0,
+            1,
+            0,
+            60,
+        ),
+    ];
+    for (name, sched, faults, golden, rejected, deferred, preempted) in cases {
+        for kind in [EventQueueKind::BinaryHeap, EventQueueKind::Calendar] {
+            let cfg = SimConfig::new(cluster, sched).with_event_queue(kind);
+            let mut tally = AdmissionTally::default();
+            let out = Simulation::new(cfg)
+                .unwrap()
+                .with_fault_spec(faults.clone())
+                .unwrap()
+                .run_with(&w, ObserverSet::new().watch(&mut tally));
+            assert_eq!(out.trace_hash, golden, "{name} on {kind:?}: trace hash");
+            assert_eq!(
+                (out.report.rejected, tally.deferred, tally.preempted),
+                (rejected, deferred, preempted),
+                "{name} on {kind:?}: rejected/deferred/preempted"
+            );
+            assert_eq!(out.preemptions, preempted as u64, "{name}: preemptions");
+        }
+    }
+}
