@@ -4,7 +4,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use dmhpc_des::rng::Pcg64;
 use dmhpc_des::time::{SimDuration, SimTime};
 use dmhpc_platform::{Cluster, ClusterSpec, NodeSpec, PoolTopology};
-use dmhpc_sched::{AvailabilityProfile, Demand, RunningRelease};
+use dmhpc_sched::{AvailabilityProfile, Demand, NodeHorizons, RunningRelease};
 
 fn make(releases: usize) -> (Cluster, Vec<RunningRelease>) {
     let cluster = Cluster::new(ClusterSpec::new(
@@ -62,6 +62,15 @@ fn bench_profile(c: &mut Criterion) {
                     &[2; 8],
                     32 * 1024,
                 ))
+            })
+        });
+        // The EASY scan's pre-plan filter: rebuilt after the head's
+        // reservation and after every backfill start, into reused buffers.
+        let mut horizons = NodeHorizons::new();
+        group.bench_with_input(BenchmarkId::new("node_horizons", n), &n, |b, _| {
+            b.iter(|| {
+                profile.node_horizons(&mut horizons);
+                black_box(horizons.admits(16, SimTime::from_secs(7_200)))
             })
         });
     }

@@ -82,7 +82,7 @@ pub use order::OrderPolicy;
 pub use policy::{
     BackfillPolicy, PassResult, Scheduler, SchedulerBuilder, SchedulerConfig, StartedJob,
 };
-pub use profile::{AvailabilityProfile, Demand};
+pub use profile::{AvailabilityProfile, Demand, NodeHorizons};
 pub use queue::{QueuedJob, WaitQueue};
 pub use release::{ReleaseIndex, ReleaseView, RunningRelease};
 pub use traits::{Ordering, PassDirective, Placement, SchedContext};

@@ -22,13 +22,14 @@
 use crate::admission::{AdmissionPolicy, AdmissionVerdict, PreemptPolicy, RejectReason};
 use crate::memory::MemoryPolicy;
 use crate::order::OrderPolicy;
-use crate::profile::AvailabilityProfile;
+use crate::profile::{AvailabilityProfile, Demand, NodeHorizons};
 use crate::queue::WaitQueue;
 use crate::release::{ReleaseView, RunningRelease};
 use crate::traits::{Ordering, PassDirective, Placement, SchedContext};
 use dmhpc_des::time::{SimDuration, SimTime};
-use dmhpc_platform::{Cluster, MemoryAssignment, PlatformError, SlowdownModel};
+use dmhpc_platform::{Cluster, MemoryAssignment, MiB, PlatformError, SlowdownModel};
 use dmhpc_workload::{Job, JobId};
+use std::cell::Cell;
 
 /// Backfilling flavour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -346,6 +347,13 @@ impl Scheduler {
     }
 
     /// Planned walltime for a job at the given dilation.
+    ///
+    /// Contract: never below `job.walltime`. Only a dilation above 1
+    /// inflates, and [`SimDuration::scale`] by a factor above 1 never
+    /// rounds below its input (test
+    /// `inflation_never_shortens_a_walltime`). The EASY scan's node-horizon
+    /// filter relies on it to test a candidate's window before planning,
+    /// and checks it with a debug assertion.
     fn planned_walltime(&self, job: &Job, dilation: f64) -> SimDuration {
         if self.cfg.inflate_walltime && dilation > 1.0 {
             job.walltime.scale(dilation)
@@ -382,21 +390,26 @@ impl Scheduler {
             }
         }
 
-        // Phase 1: greedy head starts.
-        while let Some(head) = queue.front() {
+        // Phase 1: greedy head starts. It ends with the blocked head's
+        // nominal shape, which the backfill pass reuses (nothing changed
+        // since it was priced), or `None` once the queue is empty.
+        let head_shape = loop {
+            let Some(head) = queue.front() else {
+                break None;
+            };
             let job = &head.job;
             let ctx = self.ctx(now, cluster, running);
             // Jobs impossible even on an idle machine are rejected here so
             // they cannot block the queue forever.
-            if self.placement.nominal_shape(job, &ctx).is_none() {
+            let Some(shape) = self.placement.nominal_shape(job, &ctx) else {
                 let entry = queue.pop_front();
                 result
                     .rejected
                     .push((entry.job, RejectReason::CapacityExceeded));
                 continue;
-            }
+            };
             let Some(plan) = self.placement.plan(job, &ctx) else {
-                break; // head blocked
+                break Some(shape); // head blocked
             };
             let entry = queue.pop_front();
             let planned_walltime = self.planned_walltime(&entry.job, plan.dilation);
@@ -410,19 +423,26 @@ impl Scheduler {
                 dilation: plan.dilation,
                 planned_walltime,
             });
-        }
+        };
 
-        if queue.is_empty() || self.cfg.backfill == BackfillPolicy::None {
+        let Some(head_shape) = head_shape.filter(|_| self.cfg.backfill != BackfillPolicy::None)
+        else {
             self.admission_pass(now, queue, cluster, running, &mut result);
             return result;
-        }
+        };
 
+        // This thread's reused buffers, taken out for the pass and put
+        // back after it, so no borrow spans a policy callback: a nested
+        // pass run from a callback finds fresh buffers.
+        let mut scratch = PASS_SCRATCH.replace(PassScratch::new());
         // View iteration is already planned-end sorted, so the build skips
         // the sort; jobs started in phase 1 also release capacity later.
-        let mut profile = AvailabilityProfile::from_sorted(now, cluster, running.iter());
+        scratch.profile.rebuild(now, cluster, running.iter());
         for s in &result.started {
             let end = now + s.planned_walltime;
-            profile.add_release(&RunningRelease::of(cluster, &s.assignment, end));
+            scratch
+                .profile
+                .add_release(&RunningRelease::of(cluster, &s.assignment, end));
         }
 
         // The profile only sees current free capacity plus running-job
@@ -444,7 +464,8 @@ impl Scheduler {
                 cluster,
                 running,
                 degraded,
-                &mut profile,
+                head_shape,
+                &mut scratch,
                 &mut result,
             ),
             BackfillPolicy::Conservative => self.conservative_pass(
@@ -453,10 +474,12 @@ impl Scheduler {
                 cluster,
                 running,
                 degraded,
-                &mut profile,
+                head_shape,
+                &mut scratch,
                 &mut result,
             ),
         }
+        PASS_SCRATCH.set(scratch);
         self.admission_pass(now, queue, cluster, running, &mut result);
         result
     }
@@ -512,7 +535,8 @@ impl Scheduler {
         }
     }
 
-    /// EASY: reserve the head, then start any later job that fits alongside.
+    /// EASY: reserve the head (whose nominal shape phase 1 priced), then
+    /// start any later job that fits alongside.
     #[allow(clippy::too_many_arguments)]
     fn easy_pass(
         &self,
@@ -521,18 +545,23 @@ impl Scheduler {
         cluster: &mut Cluster,
         running: ReleaseView<'_>,
         degraded: bool,
-        profile: &mut AvailabilityProfile,
+        (head_demand, head_dilation): (Demand, f64),
+        scratch: &mut PassScratch,
         result: &mut PassResult,
     ) {
+        let PassScratch {
+            profile,
+            horizons,
+            witness,
+            pool_min,
+            plan_split,
+        } = scratch;
         // lint: allow(panic) — the caller enters the easy pass only with a non-empty queue
         let head = &queue.front().expect("easy pass needs a head").job;
-        let (head_demand, head_dilation) = self
-            .placement
-            .nominal_shape(head, &self.ctx(now, cluster, running))
-            // lint: allow(panic) — phase 1 rejected jobs that can never fit, so the head has a shape
-            .expect("head rejected in phase 1 if impossible");
         let head_wall = self.planned_walltime(head, head_dilation);
-        let Some((shadow, head_split)) = profile.earliest_fit(now, head_wall, &head_demand) else {
+        let Some(shadow) =
+            profile.earliest_fit_into(now, head_wall, &head_demand, witness, pool_min)
+        else {
             if degraded {
                 // Capacity lost to faults may return (pending repair /
                 // drain-end): keep the head queued and skip backfilling
@@ -547,20 +576,20 @@ impl Scheduler {
                 .push((entry.job, RejectReason::ProfileInfeasible));
             return;
         };
-        profile.reserve(shadow, head_wall, &head_split, head_demand.remote_per_node);
+        profile.reserve(shadow, head_wall, witness, head_demand.remote_per_node);
 
-        // Scan the rest of the queue in order. A backfill must fit the
-        // profile's free nodes at `now` (net of the head's reservation and
-        // earlier backfills), and a plan occupies at least `job.nodes`
-        // nodes (the `Placement::plan` contract), so a job wider than that
-        // total would fail `fits_split` anyway: skip it without planning.
-        let mut free_now = free_nodes_now(profile, now);
-        let mut split = Vec::new();
+        // Scan the rest of the queue in order. A plan occupies at least
+        // `job.nodes` nodes (the `Placement::plan` contract) for at least
+        // `job.walltime` (the `planned_walltime` contract), so it passes
+        // `fits_split` only if that many nodes stay free, net of the head's
+        // reservation and earlier backfills, until `now + job.walltime`.
+        // The node horizons answer that in O(1): skip the rest unplanned.
+        profile.node_horizons(horizons);
         let mut idx = 1;
         while idx < queue.len() {
             // lint: allow(panic) — the loop condition maintains idx < queue.len()
             let job = &queue.get(idx).expect("idx < len").job;
-            if u64::from(job.nodes) > free_now {
+            if !horizons.admits(job.nodes, now.saturating_add(job.walltime)) {
                 idx += 1;
                 continue;
             }
@@ -573,8 +602,9 @@ impl Scheduler {
                 "Placement::plan must occupy at least job.nodes nodes"
             );
             let wall = self.planned_walltime(job, plan.dilation);
-            split_into(cluster, &plan.assignment, &mut split);
-            if !profile.fits_split(now, wall, &split, plan.assignment.remote_per_node) {
+            debug_assert!(wall >= job.walltime, "planned walltime below job.walltime");
+            split_into(cluster, &plan.assignment, plan_split);
+            if !profile.fits_split(now, wall, plan_split, plan.assignment.remote_per_node) {
                 idx += 1;
                 continue;
             }
@@ -583,8 +613,8 @@ impl Scheduler {
                 .allocate(entry.job.id.as_u64(), plan.assignment.clone())
                 // lint: allow(panic) — plan() only returns assignments the cluster can satisfy right now
                 .expect("plan() returned an unallocatable assignment");
-            profile.reserve(now, wall, &split, plan.assignment.remote_per_node);
-            free_now = free_nodes_now(profile, now);
+            profile.reserve(now, wall, plan_split, plan.assignment.remote_per_node);
+            profile.node_horizons(horizons);
             result.started.push(StartedJob {
                 job: entry.job,
                 assignment: plan.assignment,
@@ -595,7 +625,8 @@ impl Scheduler {
         }
     }
 
-    /// Conservative: a reservation per queued job, in queue order.
+    /// Conservative: a reservation per queued job, in queue order, the
+    /// head's from the nominal shape phase 1 priced.
     #[allow(clippy::too_many_arguments)]
     fn conservative_pass(
         &self,
@@ -604,25 +635,35 @@ impl Scheduler {
         cluster: &mut Cluster,
         running: ReleaseView<'_>,
         degraded: bool,
-        profile: &mut AvailabilityProfile,
+        head_shape: (Demand, f64),
+        scratch: &mut PassScratch,
         result: &mut PassResult,
     ) {
-        let mut plan_split = Vec::new();
+        let PassScratch {
+            profile,
+            witness,
+            pool_min,
+            plan_split,
+            ..
+        } = scratch;
+        let mut head_shape = Some(head_shape);
         let mut idx = 0;
         while idx < queue.len() {
             // lint: allow(panic) — the loop condition maintains idx < queue.len()
             let job = &queue.get(idx).expect("idx < len").job;
-            let Some((demand, dilation)) = self
-                .placement
-                .nominal_shape(job, &self.ctx(now, cluster, running))
-            else {
+            let shape = head_shape.take().or_else(|| {
+                self.placement
+                    .nominal_shape(job, &self.ctx(now, cluster, running))
+            });
+            let Some((demand, dilation)) = shape else {
                 // Never runnable here: phase 1 rejects it once it reaches
                 // the head (as under EASY); until then it holds nothing.
                 idx += 1;
                 continue;
             };
             let wall = self.planned_walltime(job, dilation);
-            let Some((start, split)) = profile.earliest_fit(now, wall, &demand) else {
+            let Some(start) = profile.earliest_fit_into(now, wall, &demand, witness, pool_min)
+            else {
                 if degraded {
                     // Transiently unservable (see `schedule`): keep it
                     // queued, unreserved, and move on.
@@ -638,11 +679,11 @@ impl Scheduler {
             if start == now {
                 if let Some(plan) = self.placement.plan(job, &self.ctx(now, cluster, running)) {
                     let plan_wall = self.planned_walltime(job, plan.dilation);
-                    split_into(cluster, &plan.assignment, &mut plan_split);
+                    split_into(cluster, &plan.assignment, plan_split);
                     if profile.fits_split(
                         now,
                         plan_wall,
-                        &plan_split,
+                        plan_split,
                         plan.assignment.remote_per_node,
                     ) {
                         let entry = queue.remove(idx);
@@ -653,7 +694,7 @@ impl Scheduler {
                         profile.reserve(
                             now,
                             plan_wall,
-                            &plan_split,
+                            plan_split,
                             plan.assignment.remote_per_node,
                         );
                         result.started.push(StartedJob {
@@ -667,7 +708,7 @@ impl Scheduler {
                 }
             }
             // Hold a reservation; the job stays queued.
-            profile.reserve(start, wall, &split, demand.remote_per_node);
+            profile.reserve(start, wall, witness, demand.remote_per_node);
             idx += 1;
         }
     }
@@ -683,13 +724,39 @@ fn split_into(cluster: &Cluster, assignment: &MemoryAssignment, split: &mut Vec<
     }
 }
 
-/// Total free nodes in the profile's row at `now`.
-fn free_nodes_now(profile: &AvailabilityProfile, now: SimTime) -> u64 {
-    profile
-        .free_nodes_at(now)
-        .iter()
-        .map(|&n| u64::from(n))
-        .sum()
+/// The buffers a backfill pass works in, kept per thread between passes
+/// (engines are thread-confined, so each fleet worker has its own).
+#[derive(Debug)]
+struct PassScratch {
+    /// The availability profile, rebuilt in place each pass.
+    profile: AvailabilityProfile,
+    /// The EASY scan's node-horizon table.
+    horizons: NodeHorizons,
+    /// `earliest_fit` witness splits.
+    witness: Vec<u32>,
+    /// `earliest_fit` pool-minima scratch.
+    pool_min: Vec<MiB>,
+    /// A concrete plan's nodes per rack.
+    plan_split: Vec<u32>,
+}
+
+impl PassScratch {
+    const fn new() -> Self {
+        PassScratch {
+            profile: AvailabilityProfile::empty(),
+            horizons: NodeHorizons::new(),
+            witness: Vec::new(),
+            pool_min: Vec::new(),
+            plan_split: Vec::new(),
+        }
+    }
+}
+
+thread_local! {
+    /// This thread's [`PassScratch`]. A pass takes it out and puts it back
+    /// (never borrowing it across policy callbacks), so the steady-state
+    /// backfill pass allocates no profile, witness or scan buffer.
+    static PASS_SCRATCH: Cell<PassScratch> = const { Cell::new(PassScratch::new()) };
 }
 
 #[cfg(test)]
@@ -1211,16 +1278,23 @@ mod tests {
         assert_eq!(ids(&result.started), vec![2, 1]);
     }
 
-    /// The reference pass for the differential oracle below: releases
+    /// The reference pass for the differential oracles below: releases
     /// cloned and sorted, the profile rebuilt from scratch as the naive
-    /// `Vec<Point>` profile, and every queued job planned (no width
+    /// `Vec<Point>` profile, and every queued job planned (no node-horizon
     /// filter). Otherwise step for step what `Scheduler::schedule` does.
+    ///
+    /// The EASY scan also checks the filter it omits: a candidate whose
+    /// width does not stay free (naive window minima) for its walltime
+    /// must fail `fits_split`. It counts in `horizon_only` the candidates
+    /// the filter prunes that the old width test (free nodes now) would
+    /// have planned.
     fn naive_schedule(
         sched: &Scheduler,
         now: SimTime,
         queue: &mut WaitQueue,
         cluster: &mut Cluster,
         running: ReleaseView<'_>,
+        horizon_only: &mut usize,
     ) -> PassResult {
         let mut result = PassResult::default();
         {
@@ -1291,6 +1365,11 @@ mod tests {
                     let mut idx = 1;
                     while idx < queue.len() {
                         let job = &queue.get(idx).unwrap().job;
+                        let (minima, _) =
+                            profile.window_minima(now, now.saturating_add(job.walltime));
+                        let pruned = minima.iter().sum::<u32>() < job.nodes;
+                        let free_now: u32 = profile.free_nodes_at(now).iter().sum();
+                        *horizon_only += usize::from(pruned && job.nodes <= free_now);
                         let ctx = sched.ctx(now, cluster, running);
                         let Some(plan) = sched.placement.plan(job, &ctx) else {
                             idx += 1;
@@ -1299,7 +1378,9 @@ mod tests {
                         let wall = sched.planned_walltime(job, plan.dilation);
                         let split = split_of(cluster, &plan.assignment);
                         let remote = plan.assignment.remote_per_node;
-                        if !profile.fits_split(now, wall, &split, remote) {
+                        let fits = profile.fits_split(now, wall, &split, remote);
+                        assert!(!(pruned && fits), "the node horizon pruned a fitting job");
+                        if !fits {
                             idx += 1;
                             continue;
                         }
@@ -1430,15 +1511,47 @@ mod tests {
         (cluster, running, queue)
     }
 
+    /// Two passes decided identically: the same starts (assignments,
+    /// walltimes, dilations), rejects and deferrals, and the same queue
+    /// left behind.
+    fn assert_same_pass(
+        got: &PassResult,
+        want: &PassResult,
+        got_queue: &WaitQueue,
+        want_queue: &WaitQueue,
+        ctx: &str,
+    ) {
+        assert_eq!(ids(&got.started), ids(&want.started), "{ctx}: started");
+        for (a, b) in got.started.iter().zip(&want.started) {
+            assert_eq!(a.assignment, b.assignment, "{ctx}: assignment");
+            assert_eq!(a.planned_walltime, b.planned_walltime, "{ctx}: walltime");
+            assert_eq!(
+                a.dilation.to_bits(),
+                b.dilation.to_bits(),
+                "{ctx}: dilation"
+            );
+        }
+        let rejects = |r: &PassResult| -> Vec<(u64, RejectReason)> {
+            r.rejected.iter().map(|(j, why)| (j.id.0, *why)).collect()
+        };
+        assert_eq!(rejects(got), rejects(want), "{ctx}: rejected");
+        assert_eq!(got.deferred, want.deferred, "{ctx}: deferred");
+        assert_eq!(got.recheck_at, want.recheck_at, "{ctx}: recheck");
+        assert_eq!(got.hold_until, want.hold_until, "{ctx}: hold");
+        let left = |q: &WaitQueue| -> Vec<u64> { q.iter().map(|e| e.job.id.0).collect() };
+        assert_eq!(left(got_queue), left(want_queue), "{ctx}: queue");
+    }
+
     /// Differential oracle: on seeded random states, healthy and degraded,
-    /// the production pass (flat profile, width filter, reused buffers)
-    /// starts and rejects exactly what the naive reference pass does, with
-    /// identical assignments, and leaves the same queue behind.
+    /// the production pass (flat profile, node-horizon filter, reused
+    /// buffers) starts and rejects exactly what the naive reference pass
+    /// does, with identical assignments, and leaves the same queue behind.
     #[test]
     fn pass_matches_naive_reference_pass() {
         let mut rng = Pcg64::new(4242);
         let now = SimTime::from_secs(5_000);
         let (mut backfilled, mut rejected, mut degraded) = (0, 0, 0);
+        let mut horizon_only = 0;
         for case in 0..400 {
             let (cluster, running, queue) = random_state(&mut rng, now);
             let memory = match rng.bounded_u64(5) {
@@ -1470,24 +1583,16 @@ mod tests {
             let (mut c1, mut q1) = (cluster.clone(), queue.clone());
             let (mut c2, mut q2) = (cluster, queue);
             let got = sched.schedule(now, &mut q1, &mut c1, running.view());
-            let want = naive_schedule(&sched, now, &mut q2, &mut c2, running.view());
+            let want = naive_schedule(
+                &sched,
+                now,
+                &mut q2,
+                &mut c2,
+                running.view(),
+                &mut horizon_only,
+            );
             let ctx = format!("case {case}: {}", sched.label());
-            assert_eq!(ids(&got.started), ids(&want.started), "{ctx}: started");
-            for (a, b) in got.started.iter().zip(&want.started) {
-                assert_eq!(a.assignment, b.assignment, "{ctx}: assignment");
-                assert_eq!(a.planned_walltime, b.planned_walltime, "{ctx}: walltime");
-                assert_eq!(
-                    a.dilation.to_bits(),
-                    b.dilation.to_bits(),
-                    "{ctx}: dilation"
-                );
-            }
-            let rejects = |r: &PassResult| -> Vec<(u64, RejectReason)> {
-                r.rejected.iter().map(|(j, why)| (j.id.0, *why)).collect()
-            };
-            assert_eq!(rejects(&got), rejects(&want), "{ctx}: rejected");
-            let left = |q: &WaitQueue| -> Vec<u64> { q.iter().map(|e| e.job.id.0).collect() };
-            assert_eq!(left(&q1), left(&q2), "{ctx}: queue");
+            assert_same_pass(&got, &want, &q1, &q2, &ctx);
             // Coverage: under FCFS, a start queued behind a job that is
             // still waiting is a backfill.
             let first_left = q1.iter().map(|e| (e.enqueued, e.job.id)).min();
@@ -1502,8 +1607,9 @@ mod tests {
             degraded += usize::from(c1.available_nodes() < c1.total_nodes() as usize);
         }
         assert!(
-            backfilled >= 50 && rejected >= 50 && degraded >= 50,
-            "oracle coverage: {backfilled} backfills, {rejected} rejects, {degraded} degraded"
+            backfilled >= 50 && rejected >= 50 && degraded >= 50 && horizon_only >= 50,
+            "oracle coverage: {backfilled} backfills, {rejected} rejects, {degraded} degraded, \
+             {horizon_only} candidates only the node horizon prunes"
         );
     }
 
@@ -1531,7 +1637,7 @@ mod tests {
     }
 
     /// Every built-in placement honours the `Placement::plan` contract the
-    /// EASY width filter relies on: at least `job.nodes` nodes per plan.
+    /// EASY node-horizon filter relies on: at least `job.nodes` nodes per plan.
     #[test]
     fn built_in_placements_honour_plan_width_contract() {
         let mut rng = Pcg64::new(99);
@@ -1923,5 +2029,301 @@ mod tests {
         sched.schedule(SimTime::ZERO, &mut queue, &mut cluster, running.view());
         dial.set(1.5);
         sched.schedule(SimTime::ZERO, &mut queue, &mut cluster, running.view());
+    }
+
+    /// Engine-level oracle: the production pass and the naive reference
+    /// pass side by side through seeded event loops — arrivals, finishes
+    /// at the planned walltime, node failures and repairs — so they meet
+    /// the deep, reservation-shaped profiles of a real run, not only
+    /// single random states. Every pass must decide identically.
+    #[test]
+    fn pass_trajectory_matches_naive_reference() {
+        use std::collections::BTreeSet;
+        let mut rng = Pcg64::new(5151);
+        let (mut passes, mut deepest, mut backfilled, mut failures) = (0, 0, 0, 0);
+        let mut horizon_only = 0;
+        for case in 0..2 * PLACEMENTS.len() {
+            let memory = PLACEMENTS[case % PLACEMENTS.len()];
+            let (backfill, jobs) = if case < PLACEMENTS.len() {
+                (BackfillPolicy::Easy, 240)
+            } else {
+                (BackfillPolicy::Conservative, 90)
+            };
+            let sched = Scheduler::new(
+                SchedulerBuilder::new()
+                    .order(if case % 3 == 0 {
+                        OrderPolicy::Sjf
+                    } else {
+                        OrderPolicy::Fcfs
+                    })
+                    .backfill(backfill)
+                    .memory(memory)
+                    .inflate_walltime(case % 2 == 0)
+                    .build(),
+            )
+            .unwrap();
+            let racks = 2 + rng.bounded_u64(3) as u32;
+            let per_rack = 3 + rng.bounded_u64(4) as u32;
+            let pool = match case % 3 {
+                0 => PoolTopology::None,
+                1 => PoolTopology::PerRack {
+                    mib_per_rack: (64 + rng.bounded_u64(256)) * GIB,
+                },
+                _ => PoolTopology::Global {
+                    mib: (128 + rng.bounded_u64(512)) * GIB,
+                },
+            };
+            let mut cluster = Cluster::new(ClusterSpec::new(
+                racks,
+                per_rack,
+                NodeSpec::new(64, 256 * GIB),
+                pool,
+            ));
+            // Arrivals come much faster than the machine drains them, so
+            // the queue grows deep before it empties.
+            let mut arrival = 0;
+            let mut arrivals: Vec<Job> = (0..jobs)
+                .map(|id| {
+                    arrival += rng.bounded_u64(120);
+                    let wall = 600 + rng.bounded_u64(20_000);
+                    JobBuilder::new(id)
+                        .arrival_secs(arrival)
+                        .nodes(1 + rng.bounded_u64(u64::from(per_rack) + 1) as u32)
+                        .mem_per_node((16 + rng.bounded_u64(400)) * GIB)
+                        .intensity(rng.bounded_u64(100) as f64 / 100.0)
+                        .runtime_secs(1 + rng.bounded_u64(wall), wall)
+                        .build()
+                })
+                .collect();
+            arrivals.reverse();
+            let mut queue = WaitQueue::new();
+            let mut running = ReleaseIndex::new();
+            let mut ends: BTreeSet<(SimTime, u64)> = BTreeSet::new();
+            let mut repairs: BTreeSet<(SimTime, u32)> = BTreeSet::new();
+            let mut step = 0;
+            loop {
+                let next_arrival = arrivals.last().map(|j| j.arrival);
+                let next_end = ends.first().map(|&(t, _)| t);
+                let next_repair = repairs.first().map(|&(t, _)| t);
+                let Some(now) = [next_arrival, next_end, next_repair]
+                    .into_iter()
+                    .flatten()
+                    .min()
+                else {
+                    break;
+                };
+                while let Some(&(end, lease)) = ends.first().filter(|&&(end, _)| end <= now) {
+                    ends.remove(&(end, lease));
+                    cluster.release(lease).unwrap();
+                    running.remove(lease).unwrap();
+                }
+                while let Some(&(at, node)) = repairs.first().filter(|&&(at, _)| at <= now) {
+                    repairs.remove(&(at, node));
+                    cluster.repair_node(dmhpc_platform::NodeId(node)).unwrap();
+                }
+                while arrivals.last().is_some_and(|j| j.arrival <= now) {
+                    let job = arrivals.pop().unwrap();
+                    queue.push(job, now);
+                }
+                // Now and then a free node fails until a later repair.
+                let free = cluster.free_node_iter().next();
+                if let Some(node) = free.filter(|_| rng.bounded_u64(10) == 0) {
+                    cluster.fail_node(node).unwrap();
+                    let back = now + SimDuration::from_secs(1 + rng.bounded_u64(20_000));
+                    repairs.insert((back, node.0));
+                    failures += 1;
+                }
+                if queue.is_empty() {
+                    continue;
+                }
+                deepest = deepest.max(queue.len());
+                let (mut naive_cluster, mut naive_queue) = (cluster.clone(), queue.clone());
+                let got = sched.schedule(now, &mut queue, &mut cluster, running.view());
+                let want = naive_schedule(
+                    &sched,
+                    now,
+                    &mut naive_queue,
+                    &mut naive_cluster,
+                    running.view(),
+                    &mut horizon_only,
+                );
+                let ctx = format!("case {case} ({}) pass {step} at {now}", sched.label());
+                assert_same_pass(&got, &want, &queue, &naive_queue, &ctx);
+                let first_left = queue.iter().map(|e| (e.job.arrival, e.job.id)).min();
+                for s in got.started {
+                    let end = now + s.planned_walltime;
+                    let lease = s.job.id.as_u64();
+                    running.insert(lease, RunningRelease::of(&cluster, &s.assignment, end));
+                    ends.insert((end, lease));
+                    backfilled +=
+                        usize::from(first_left.is_some_and(|f| (s.job.arrival, s.job.id) > f));
+                }
+                cluster.verify_invariants().unwrap();
+                passes += 1;
+                step += 1;
+            }
+        }
+        assert!(
+            passes >= 2_000
+                && deepest >= 150
+                && backfilled >= 300
+                && failures >= 100
+                && horizon_only >= 1_000,
+            "trajectory coverage: {passes} passes, queue depth up to {deepest}, \
+             {backfilled} backfills, {failures} node failures, \
+             {horizon_only} candidates only the node horizon prunes"
+        );
+    }
+
+    /// A placement that runs a whole nested EASY pass, on a machine of its
+    /// own, inside every `plan` call before answering like the placement
+    /// it wraps.
+    #[derive(Debug)]
+    struct Nesting(MemoryPolicy);
+
+    impl Placement for Nesting {
+        fn name(&self) -> &str {
+            "nesting"
+        }
+        fn nominal_shape(&self, job: &Job, ctx: &SchedContext<'_>) -> Option<(Demand, f64)> {
+            Placement::nominal_shape(&self.0, job, ctx)
+        }
+        fn plan(&self, candidate: &Job, ctx: &SchedContext<'_>) -> Option<PlannedAllocation> {
+            let mut cluster = small_cluster();
+            let mut running = ReleaseIndex::new();
+            park(&mut cluster, &mut running, 100, &[0, 1], 0, 100);
+            let mut queue = WaitQueue::new();
+            queue.push(job(1, 4, 500, 1000), SimTime::ZERO);
+            queue.push(job(2, 2, 50, 100), SimTime::ZERO);
+            let nested =
+                fcfs_easy().schedule(SimTime::ZERO, &mut queue, &mut cluster, running.view());
+            assert_eq!(ids(&nested.started), vec![2], "the nested pass backfilled");
+            Placement::plan(&self.0, candidate, ctx)
+        }
+    }
+
+    /// A pass run from inside a placement callback finds fresh buffers
+    /// (the outer pass has taken its own out), so it neither panics nor
+    /// changes what the outer pass decides.
+    #[test]
+    fn nested_pass_in_a_placement_callback_leaves_decisions_alone() {
+        let mut rng = Pcg64::new(606);
+        let now = SimTime::from_secs(5_000);
+        let mut backfilled = 0;
+        for case in 0..60 {
+            let (cluster, running, queue) = random_state(&mut rng, now);
+            let memory = PLACEMENTS[case % PLACEMENTS.len()];
+            let backfill = if case % 2 == 0 {
+                BackfillPolicy::Easy
+            } else {
+                BackfillPolicy::Conservative
+            };
+            let cfg = SchedulerBuilder::new()
+                .backfill(backfill)
+                .memory(memory)
+                .build();
+            let plain = Scheduler::new(cfg).unwrap();
+            let nesting = Scheduler::with_policies(
+                cfg,
+                Box::new(OrderPolicy::Fcfs),
+                Box::new(Nesting(memory)),
+            )
+            .unwrap();
+            let (mut c1, mut q1) = (cluster.clone(), queue.clone());
+            let (mut c2, mut q2) = (cluster, queue);
+            let got = nesting.schedule(now, &mut q1, &mut c1, running.view());
+            let want = plain.schedule(now, &mut q2, &mut c2, running.view());
+            assert_same_pass(&got, &want, &q1, &q2, &format!("case {case}"));
+            backfilled += got.started.len();
+        }
+        assert!(backfilled >= 30, "coverage: {backfilled} starts");
+    }
+
+    /// In steady state the backfill pass allocates no profile, witness or
+    /// scan buffer: a repeat of the same pass finds every buffer where
+    /// the first one left it.
+    #[test]
+    fn backfill_pass_reuses_its_buffers() {
+        let addrs = || {
+            let scratch = PASS_SCRATCH.replace(PassScratch::new());
+            let mut addrs = scratch.profile.buffer_addrs().to_vec();
+            addrs.extend(scratch.horizons.buffer_addrs());
+            addrs.extend([
+                scratch.witness.as_ptr() as usize,
+                scratch.pool_min.as_ptr() as usize,
+                scratch.plan_split.as_ptr() as usize,
+            ]);
+            PASS_SCRATCH.set(scratch);
+            addrs
+        };
+        for backfill in [BackfillPolicy::Easy, BackfillPolicy::Conservative] {
+            let sched = Scheduler::new(
+                SchedulerBuilder::new()
+                    .backfill(backfill)
+                    .memory(MemoryPolicy::PoolFirstFit)
+                    .build(),
+            )
+            .unwrap();
+            let pass = || {
+                let mut cluster = small_cluster();
+                let mut running = ReleaseIndex::new();
+                park(&mut cluster, &mut running, 100, &[0], 20 * GIB, 100);
+                park(&mut cluster, &mut running, 101, &[1], 0, 300);
+                let mut queue = WaitQueue::new();
+                queue.push(job(1, 4, 500, 1000), SimTime::ZERO);
+                queue.push(job(2, 1, 50, 100), SimTime::ZERO);
+                queue.push(job(3, 2, 300, 400), SimTime::ZERO);
+                let result =
+                    sched.schedule(SimTime::ZERO, &mut queue, &mut cluster, running.view());
+                assert_eq!(ids(&result.started), vec![2], "{}", backfill.name());
+            };
+            pass();
+            let first = addrs();
+            // An empty `Vec`'s pointer is a dangling one equal to its
+            // alignment; every buffer must have been grown by the pass.
+            let dangling = std::mem::align_of::<u64>();
+            assert!(
+                first.iter().all(|&a| a > dangling),
+                "{}: unused buffer",
+                backfill.name()
+            );
+            pass();
+            assert_eq!(addrs(), first, "{}: buffers moved", backfill.name());
+        }
+    }
+
+    /// `planned_walltime`'s contract: inflation by any dilation ≥ 1 never
+    /// shortens a walltime, including where `SimDuration::scale` rounds
+    /// (walltimes past 2^53 µs are not exact as `f64`).
+    #[test]
+    fn inflation_never_shortens_a_walltime() {
+        let sched = fcfs_easy();
+        let mut rng = Pcg64::new(17);
+        let mut walls: Vec<u64> = vec![0, 1, 2, 3, 1 << 40];
+        for bit in [53, 54, 60, 62] {
+            walls.extend([(1u64 << bit) - 1, 1 << bit, (1 << bit) + 1, (1 << bit) + 3]);
+        }
+        walls.extend((0..64).map(|shift| rng.next_u64() >> shift));
+        let next_up = f64::from_bits(1.0f64.to_bits() + 1);
+        let mut dilations = vec![1.0, next_up, 1.0 + 1e-12, 1.0 + 1e-6, 1.35, 1.5, 2.0, 3.7];
+        dilations.extend((0..32).map(|_| 1.0 + rng.next_f64() * 3.0));
+        let mut checked = 0;
+        for &wall in &walls {
+            let mut j = job(1, 1, 1, 1);
+            j.walltime = SimDuration::from_micros(wall);
+            for &dilation in &dilations {
+                if wall as f64 * dilation >= u64::MAX as f64 {
+                    continue; // `scale` refuses durations past u64
+                }
+                let planned = sched.planned_walltime(&j, dilation);
+                assert!(
+                    planned >= j.walltime,
+                    "{wall} µs × {dilation} planned as {} µs",
+                    planned.as_micros()
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked >= 2_000, "coverage: {checked} walltimes");
     }
 }

@@ -33,9 +33,18 @@
 //! The profile is three flat arrays: breakpoint `times`, and row-major
 //! `nodes` (`points × racks`) and `pool` (`points × domains`) tables. A
 //! build is one prefix-sum pass over releases already sorted by planned
-//! end (the engine's [`crate::ReleaseView`] order), so it allocates three
-//! vectors regardless of how many jobs are running. Queries read window
+//! end (the engine's [`crate::ReleaseView`] order), made in place into the
+//! profile's own buffers, so a scheduling pass that reuses one profile
+//! allocates nothing once the buffers have grown. Queries read window
 //! minima in place, row by row, instead of materializing them.
+//!
+//! ## Node horizons
+//!
+//! [`NodeHorizons`] summarizes the node rows for the EASY scan: for every
+//! node count, the first breakpoint at which that many nodes no longer
+//! stay free (per rack, from the origin). A candidate whose width does not
+//! stay free for its whole walltime cannot fit, whatever its placement
+//! plans, so the scan skips it in O(1) without planning it.
 
 use crate::release::RunningRelease;
 use dmhpc_des::time::{SimDuration, SimTime};
@@ -50,6 +59,58 @@ pub struct Demand {
     pub nodes: u32,
     /// Pool MiB per node (0 = purely local job).
     pub remote_per_node: MiB,
+}
+
+/// How long each node count stays free from a profile's origin, per
+/// rack: the EASY scan's exact pre-`plan()` filter.
+///
+/// Let `m_r(i)` be rack `r`'s minimum free nodes over rows `0..=i` and
+/// `S(i) = Σ_r m_r(i)`, which never increases with `i`. Entry `k - 1`
+/// holds the time of the first row `i ≥ 1` with `S(i) < k`, or
+/// [`SimTime::MAX`] if there is none; the table has `S(0)` entries.
+///
+/// A split of at least `k` nodes fits a window `[origin, end)` only if
+/// `k_r ≤ m_r(i)` for every row `i` before `end`, so only if `S(i) ≥ k`
+/// there: [`admits`](Self::admits) is false exactly when no such split
+/// can fit (the oracle `node_horizons_match_naive_window_minima` checks
+/// this against per-rack window minima).
+#[derive(Debug, Clone, Default)]
+pub struct NodeHorizons {
+    /// Scratch: running per-rack minima while the table is built.
+    rack_min: Vec<u32>,
+    /// `until[k - 1]`: the first breakpoint at which `k` nodes no longer
+    /// stay free from the origin.
+    until: Vec<SimTime>,
+}
+
+impl NodeHorizons {
+    /// An empty table, filled by [`AvailabilityProfile::node_horizons`].
+    pub const fn new() -> Self {
+        NodeHorizons {
+            rack_min: Vec::new(),
+            until: Vec::new(),
+        }
+    }
+
+    /// Whether `nodes` nodes could stay free from the origin until `end`:
+    /// necessary for any split of at least `nodes` nodes to fit the window
+    /// `[origin, end)`, and exactly the per-rack minima test.
+    pub fn admits(&self, nodes: u32, end: SimTime) -> bool {
+        match (nodes as usize).checked_sub(1) {
+            None => true,
+            Some(k) => self.until.get(k).is_some_and(|&t| t >= end),
+        }
+    }
+
+    /// Where the table's buffers live, to check that reuse does not move
+    /// them.
+    #[cfg(test)]
+    pub(crate) fn buffer_addrs(&self) -> [usize; 2] {
+        [
+            self.rack_min.as_ptr() as usize,
+            self.until.as_ptr() as usize,
+        ]
+    }
 }
 
 /// Pool-domain structure, mirrored from [`PoolTopology`] without capacities.
@@ -86,53 +147,70 @@ pub struct AvailabilityProfile {
 }
 
 impl AvailabilityProfile {
+    /// A profile with no rows: the state of reused scratch before its
+    /// first [`rebuild`](Self::rebuild). Queries need at least the origin
+    /// row, so only a rebuild may follow.
+    pub(crate) const fn empty() -> Self {
+        AvailabilityProfile {
+            kind: DomainKind::None,
+            racks: 0,
+            domains: 0,
+            times: Vec::new(),
+            nodes: Vec::new(),
+            pool: Vec::new(),
+        }
+    }
+
     /// Build from a cluster's current state plus the planned releases of
     /// running jobs, in any order. Releases at or before `now` are folded
     /// into the origin.
     pub fn from_cluster(now: SimTime, cluster: &Cluster, releases: &[RunningRelease]) -> Self {
         let mut sorted: Vec<&RunningRelease> = releases.iter().collect();
         sorted.sort_by_key(|r| r.planned_end);
-        Self::from_sorted(now, cluster, sorted)
+        let mut profile = Self::empty();
+        profile.rebuild(now, cluster, sorted);
+        profile
     }
 
-    /// [`from_cluster`](Self::from_cluster) for releases already in
-    /// ascending planned-end order, such as a [`crate::ReleaseView`]'s,
-    /// which skips the sort.
-    pub(crate) fn from_sorted<'r>(
+    /// Rebuild in place, reusing this profile's buffers, from a cluster's
+    /// current state and releases already in ascending planned-end order,
+    /// such as a [`crate::ReleaseView`]'s. Once the buffers have grown to
+    /// a pass's size, rebuilding allocates nothing.
+    pub(crate) fn rebuild<'r>(
+        &mut self,
         now: SimTime,
         cluster: &Cluster,
         releases: impl IntoIterator<Item = &'r RunningRelease>,
-    ) -> Self {
-        let racks = cluster.spec().racks;
-        let free_nodes: Vec<u32> = (0..racks)
-            .map(|r| cluster.free_nodes_in_rack(RackId(r)))
-            .collect();
-        let free_pool: Vec<MiB> = cluster.pools().iter().map(|p| p.free()).collect();
-        Self::from_parts(
-            now,
-            DomainKind::of(&cluster.spec().pool),
-            free_nodes,
-            free_pool,
-            releases,
-        )
+    ) {
+        let free_nodes = (0..cluster.spec().racks).map(|r| cluster.free_nodes_in_rack(RackId(r)));
+        let free_pool = cluster.pools().iter().map(|p| p.free());
+        let kind = DomainKind::of(&cluster.spec().pool);
+        self.rebuild_from(now, kind, free_nodes, free_pool, releases);
     }
 
-    /// The prefix-sum build: the origin row is the current free capacity
-    /// and every later row adds the releases up to its time.
-    fn from_parts<'r>(
+    /// The prefix-sum build every constructor goes through: the origin row
+    /// is the current free capacity and every later row adds the releases
+    /// up to its time.
+    fn rebuild_from<'r>(
+        &mut self,
         now: SimTime,
         kind: DomainKind,
-        mut nodes: Vec<u32>,
-        mut pool: Vec<MiB>,
+        free_nodes: impl IntoIterator<Item = u32>,
+        free_pool: impl IntoIterator<Item = MiB>,
         releases: impl IntoIterator<Item = &'r RunningRelease>,
-    ) -> Self {
-        let racks = nodes.len();
-        let domains = pool.len();
+    ) {
+        let (times, nodes, pool) = (&mut self.times, &mut self.nodes, &mut self.pool);
+        times.clear();
+        times.push(now);
+        nodes.clear();
+        nodes.extend(free_nodes);
+        pool.clear();
+        pool.extend(free_pool);
+        let (racks, domains) = (nodes.len(), pool.len());
         debug_assert!(kind != DomainKind::PerRack || domains == racks);
         let releases = releases.into_iter();
         let rows = 1 + releases.size_hint().0;
-        let mut times = Vec::with_capacity(rows);
-        times.push(now);
+        times.reserve(rows - 1);
         nodes.reserve((rows - 1) * racks);
         pool.reserve((rows - 1) * domains);
         let mut prev = SimTime::ZERO;
@@ -156,14 +234,9 @@ impl AvailabilityProfile {
             }
             prev = rel.planned_end;
         }
-        AvailabilityProfile {
-            kind,
-            racks,
-            domains,
-            times,
-            nodes,
-            pool,
-        }
+        self.kind = kind;
+        self.racks = racks;
+        self.domains = domains;
     }
 
     /// Number of breakpoints (diagnostics/benches).
@@ -335,8 +408,26 @@ impl AvailabilityProfile {
         dur: SimDuration,
         demand: &Demand,
     ) -> Option<(SimTime, Vec<u32>)> {
-        let mut split = vec![0; self.racks];
-        let mut pool_min = vec![0; self.domains];
+        let mut split = Vec::new();
+        let start = self.earliest_fit_into(from, dur, demand, &mut split, &mut Vec::new())?;
+        Some((start, split))
+    }
+
+    /// [`earliest_fit`](Self::earliest_fit) into caller-owned buffers: on
+    /// `Some`, `split` holds the witness; `pool_min` is scratch. Both are
+    /// resized here, so reused buffers make the query allocation-free.
+    pub(crate) fn earliest_fit_into(
+        &self,
+        from: SimTime,
+        dur: SimDuration,
+        demand: &Demand,
+        split: &mut Vec<u32>,
+        pool_min: &mut Vec<MiB>,
+    ) -> Option<SimTime> {
+        split.clear();
+        split.resize(self.racks, 0);
+        pool_min.clear();
+        pool_min.resize(self.domains, 0);
         let mut start = from.max_of(self.origin());
         // Rows in `[window start, known_good)` serve `demand` on their own.
         let mut known_good = 0;
@@ -351,12 +442,35 @@ impl AvailabilityProfile {
             known_good = rows.end;
             let next = match blocking {
                 Some(row) => row + 1,
-                None if self.fit_rows(rows.clone(), demand, &mut split, &mut pool_min) => {
-                    return Some((start, split))
-                }
+                None if self.fit_rows(rows.clone(), demand, split, pool_min) => return Some(start),
                 None => rows.start + 1,
             };
             start = *self.times.get(next)?;
+        }
+    }
+
+    /// Fill `horizons` from this profile's node rows. See [`NodeHorizons`].
+    /// Costs O(rows × racks + free nodes at the origin) and allocates
+    /// nothing once the table's buffers have grown.
+    pub fn node_horizons(&self, horizons: &mut NodeHorizons) {
+        let NodeHorizons { rack_min, until } = horizons;
+        rack_min.clear();
+        rack_min.extend_from_slice(self.nodes_row(0));
+        let mut sum: u64 = rack_min.iter().map(|&k| u64::from(k)).sum();
+        until.clear();
+        until.resize(sum as usize, SimTime::MAX);
+        for row in 1..self.len() {
+            if sum == 0 {
+                break;
+            }
+            let mut next = 0;
+            for (m, &k) in rack_min.iter_mut().zip(self.nodes_row(row)) {
+                *m = (*m).min(k);
+                next += u64::from(*m);
+            }
+            // Node counts in `(next, sum]` stop fitting at this row.
+            until[next as usize..sum as usize].fill(self.times[row]);
+            sum = next;
         }
     }
 
@@ -460,6 +574,16 @@ impl AvailabilityProfile {
     pub fn free_pool_at(&self, t: SimTime) -> &[MiB] {
         self.pool_row(self.segment_at(t))
     }
+
+    /// Where the row buffers live, to check that reuse does not move them.
+    #[cfg(test)]
+    pub(crate) fn buffer_addrs(&self) -> [usize; 3] {
+        [
+            self.times.as_ptr() as usize,
+            self.nodes.as_ptr() as usize,
+            self.pool.as_ptr() as usize,
+        ]
+    }
 }
 
 /// The original `Vec<Point>` profile, kept as a test-only differential
@@ -560,7 +684,9 @@ pub(crate) mod naive {
             }
         }
 
-        fn window_minima(&self, start: SimTime, end: SimTime) -> (Vec<u32>, Vec<MiB>) {
+        /// Per-rack free-node and per-domain free-pool minima over the
+        /// window `[start, end)`.
+        pub(crate) fn window_minima(&self, start: SimTime, end: SimTime) -> (Vec<u32>, Vec<MiB>) {
             let first = self.segment_at(start);
             let mut node_min = self.points[first].free_nodes.clone();
             let mut pool_min = self.points[first].free_pool.clone();
@@ -755,7 +881,9 @@ mod tests {
     ) -> AvailabilityProfile {
         let mut sorted: Vec<&RunningRelease> = releases.iter().collect();
         sorted.sort_by_key(|r| r.planned_end);
-        AvailabilityProfile::from_parts(now, kind, nodes, pool, sorted)
+        let mut profile = AvailabilityProfile::empty();
+        profile.rebuild_from(now, kind, nodes, pool, sorted);
+        profile
     }
 
     /// 2 racks × 4 nodes, per-rack pools of 1000 MiB, 2 nodes free in rack
@@ -1231,6 +1359,61 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Oracle for the EASY scan's node-horizon filter: on random profiles
+    /// carved by random reservations, `admits(k, end)` holds exactly when
+    /// the naive per-rack window minima over `[origin, end)` sum to at
+    /// least `k`, for every `k` and every end next to a breakpoint.
+    #[test]
+    fn node_horizons_match_naive_window_minima() {
+        let mut rng = Pcg64::new(1414);
+        let mut horizons = NodeHorizons::new();
+        let (mut admitted, mut refused) = (0, 0);
+        for kind in [DomainKind::None, DomainKind::PerRack, DomainKind::Global] {
+            for case in 0..200 {
+                let (mut flat, mut naive) = random_pair(&mut rng, kind);
+                for step in 0..6 {
+                    let ctx = format!("{kind:?} case {case} step {step}");
+                    flat.node_horizons(&mut horizons);
+                    let origin = flat.origin();
+                    let mut ends = vec![origin, SimTime::MAX];
+                    for &bp in &flat.times {
+                        let us = bp.as_micros();
+                        ends.extend(
+                            [us.saturating_sub(1), us, us.saturating_add(1)]
+                                .map(SimTime::from_micros),
+                        );
+                    }
+                    let widest: u32 = flat.free_nodes_at(origin).iter().sum::<u32>() + 2;
+                    for end in ends {
+                        let (minima, _) = naive.window_minima(origin, end);
+                        let stays_free: u32 = minima.iter().sum();
+                        for k in 0..=widest {
+                            let admits = horizons.admits(k, end);
+                            assert_eq!(admits, stays_free >= k, "{ctx}: {k} nodes until {end}");
+                            if admits {
+                                admitted += 1
+                            } else {
+                                refused += 1
+                            }
+                        }
+                    }
+                    // Carve the profile: reserve a random demand where it fits.
+                    let demand = random_demand(&mut rng);
+                    let from = t(100 + rng.bounded_u64(600));
+                    let dur = d(1 + rng.bounded_u64(300));
+                    if let Some((start, witness)) = flat.earliest_fit(from, dur, &demand) {
+                        flat.reserve(start, dur, &witness, demand.remote_per_node);
+                        naive.reserve(start, dur, &witness, demand.remote_per_node);
+                    }
+                }
+            }
+        }
+        assert!(
+            admitted >= 10_000 && refused >= 10_000,
+            "oracle coverage: {admitted} admitted, {refused} refused"
+        );
     }
 
     #[test]

@@ -172,8 +172,9 @@ pub trait Placement: std::fmt::Debug + Send + Sync {
     ///
     /// Contract: a returned assignment occupies **at least `job.nodes`
     /// nodes** (more when memory inflates the shape). The EASY scan relies
-    /// on it to skip planning jobs wider than the nodes free now, and
-    /// checks it with a debug assertion.
+    /// on it to skip planning jobs whose width does not stay free for
+    /// their walltime (its node-horizon filter), and checks it with a
+    /// debug assertion.
     fn plan(&self, job: &Job, ctx: &SchedContext<'_>) -> Option<PlannedAllocation>;
 
     /// The smallest dilation any shape this policy would consider can
