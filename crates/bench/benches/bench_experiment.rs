@@ -16,8 +16,7 @@ use dmhpc_sched::{
 use dmhpc_sim::observe::{EventCounter, SampledSeriesProbe, TraceSink};
 use dmhpc_sim::scenarios::{default_slowdown, policy_suite, preset_cluster};
 use dmhpc_sim::{
-    EventQueueKind, ExperimentRunner, ExperimentSpec, FleetSimulation, FleetSpec, Shard, SimConfig,
-    Simulation,
+    ExperimentRunner, ExperimentSpec, FleetSimulation, FleetSpec, Shard, SimConfig, Simulation,
 };
 use dmhpc_workload::source::JobSource as _;
 use dmhpc_workload::{SloModel, SystemPreset};
@@ -150,9 +149,8 @@ fn bench_single_cell(c: &mut Criterion) {
 }
 
 fn bench_engine_kernel(c: &mut Criterion) {
-    // Engine throughput (events/sec) on a large high-load workload, heap
-    // vs calendar pending-event set — the number the incremental kernel
-    // moves. The contention model keeps the pool-scoped re-dilation path
+    // Engine throughput (events/sec) on a large high-load workload — the
+    // number the incremental kernel moves. The contention model keeps the pool-scoped re-dilation path
     // hot, which is the expensive regime.
     const KERNEL_JOBS: usize = 2_000;
     let workload = SystemPreset::HighThroughput
@@ -190,10 +188,10 @@ fn bench_engine_kernel(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_kernel");
     group.sample_size(10);
     group.throughput(Throughput::Elements(reference.events_processed));
-    for kind in [EventQueueKind::BinaryHeap, EventQueueKind::Calendar] {
-        let sim = Simulation::new(cfg.with_event_queue(kind)).expect("valid config");
-        group.bench_function(kind.name(), |b| b.iter(|| black_box(sim.run(&workload))));
-    }
+    // The `heap` id is historical (the engine once had a calendar-queue
+    // arm); it is kept so the gate and the trajectory rows stay comparable.
+    let sim = Simulation::new(cfg).expect("valid config");
+    group.bench_function("heap", |b| b.iter(|| black_box(sim.run(&workload))));
     // The same run without backfilling: `bench_gate` bounds heap over
     // this arm (`backfill_vs_none_ratio`), i.e. what the backfill layer
     // (profile build + scan) costs on top of the rest of the kernel.

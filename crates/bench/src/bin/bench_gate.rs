@@ -3,14 +3,11 @@
 //!
 //! Reads the JSON-lines file the criterion-shim emits when `BENCH_JSON`
 //! is set (one `{"name", "mean_ns", "std_ns"}` object per benchmark) and
-//! compares two ratios against a checked-in baseline:
+//! compares ratios against a checked-in baseline:
 //!
 //! * **runner overhead** — the whole declarative path
 //!   (`experiment_runner/run/1`) over the same cells simulated by hand
 //!   (`experiment_runner/raw_cells`);
-//! * **kernel backend** — engine throughput on the calendar event queue
-//!   (`engine_kernel/calendar`) over the binary heap
-//!   (`engine_kernel/heap`), so the opt-in backend cannot silently rot;
 //! * **backfill layer** — the kernel workload under EASY backfilling
 //!   (`engine_kernel/heap`) over the same run with backfilling off
 //!   (`engine_kernel/no_backfill`), so the availability-profile build and
@@ -63,7 +60,6 @@ use dmhpc_metrics::json::parse;
 
 const RUN_BENCH: &str = "experiment_runner/run/1";
 const RAW_BENCH: &str = "experiment_runner/raw_cells";
-const KERNEL_CAL_BENCH: &str = "engine_kernel/calendar";
 const KERNEL_HEAP_BENCH: &str = "engine_kernel/heap";
 const KERNEL_NO_BACKFILL_BENCH: &str = "engine_kernel/no_backfill";
 const FAULTS_STORM_BENCH: &str = "engine_faults/storm";
@@ -151,17 +147,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         mean_of(&results, RUN_BENCH)?,
         mean_of(&results, RAW_BENCH)?,
         baseline.expect_key("runner_overhead_ratio")?.to_f64()?,
-        max_regression,
-    )?;
-    gate(
-        "kernel calendar-vs-heap",
-        KERNEL_CAL_BENCH,
-        KERNEL_HEAP_BENCH,
-        mean_of(&results, KERNEL_CAL_BENCH)?,
-        mean_of(&results, KERNEL_HEAP_BENCH)?,
-        baseline
-            .expect_key("kernel_calendar_vs_heap_ratio")?
-            .to_f64()?,
         max_regression,
     )?;
     gate(

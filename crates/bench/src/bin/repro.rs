@@ -28,9 +28,7 @@
 //! that is meaningless in their mode.
 
 use dmhpc_bench::experiments::{self, RunOptions};
-use dmhpc_sim::{
-    EventQueueKind, ExperimentResults, ExperimentRunner, ExperimentSpec, Shard, SimError,
-};
+use dmhpc_sim::{ExperimentResults, ExperimentRunner, ExperimentSpec, Shard, SimError};
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -39,11 +37,14 @@ const BUILTIN_GRIDS: &str =
     "smoke|smoke-contention|smoke-faults|smoke-service|smoke-deadline|smoke-admission|smoke-fleet";
 
 fn usage() {
-    eprintln!("usage: repro [--list] [--cache-dir DIR] [--threads N] [--queue heap|calendar] [--trace-out DIR] <id>... | all");
-    eprintln!("       repro grid  <spec.json|{BUILTIN_GRIDS}> [--shard i/n] [--cache-dir DIR] [--threads N] [--queue heap|calendar] [--trace-out DIR] [--faults|--service|--fleet]");
+    eprintln!(
+        "usage: repro [--list] [--cache-dir DIR] [--threads N] [--trace-out DIR] <id>... | all"
+    );
+    eprintln!("       repro grid  <spec.json|{BUILTIN_GRIDS}> [--shard i/n] [--cache-dir DIR] [--threads N] [--trace-out DIR] [--faults] [--service|--fleet]");
     eprintln!("       repro merge <spec.json|{BUILTIN_GRIDS}> --cache-dir DIR [--faults]");
     eprintln!("       --faults crosses the spec's grid with the built-in fault axis");
-    eprintln!("       (fault-free baseline + node failures/drains/pool degradations)");
+    eprintln!("       (fault-free baseline + node failures/drains/pool degradations);");
+    eprintln!("       it composes with --service and with service specs");
     eprintln!("       --service crosses the spec's grid with the built-in open-system");
     eprintln!("       service axis (closed-batch baseline + a streaming-arrival cell");
     eprintln!("       with O(1)-memory sketch metrics); grid mode only — use the");
@@ -69,7 +70,6 @@ struct Cli {
     shard: Option<Shard>,
     /// `None` = auto (one worker per core); validated ≥ 1 when given.
     threads: Option<usize>,
-    queue: Option<EventQueueKind>,
     /// Stream per-cell event traces into this directory.
     trace_out: Option<PathBuf>,
     /// Cross the grid with the built-in fault axis (grid/merge modes).
@@ -89,14 +89,13 @@ enum Mode {
     Merge,
 }
 
-/// Everything the simulated-run modes share: cache, workers, event-queue
-/// backend, trace export.
+/// Everything the simulated-run modes share: cache, workers, trace
+/// export.
 #[derive(Debug)]
 struct ExecKnobs {
     cache_dir: Option<PathBuf>,
     /// `0` = auto (one worker per core).
     threads: usize,
-    queue: Option<EventQueueKind>,
     trace_out: Option<PathBuf>,
 }
 
@@ -150,9 +149,6 @@ impl RunMode {
             if cli.threads.is_some() {
                 return Err("--threads does not apply to --list (listing never simulates)".into());
             }
-            if cli.queue.is_some() {
-                return Err("--queue does not apply to --list (listing never simulates)".into());
-            }
             if cli.trace_out.is_some() {
                 return Err(
                     "--trace-out does not apply to --list (listing never simulates)".into(),
@@ -165,13 +161,6 @@ impl RunMode {
                 let Some(spec_arg) = cli.args.first().cloned() else {
                     return Err("grid mode needs a spec (a JSON file or `smoke`)".into());
                 };
-                if cli.faults && cli.service {
-                    return Err(
-                        "--faults does not combine with --service (fault scenarios and \
-                         open-system service runs are separate experiments)"
-                            .into(),
-                    );
-                }
                 if cli.fleet && cli.faults {
                     return Err(
                         "--fleet does not combine with --faults (federated fleet scenarios \
@@ -236,7 +225,6 @@ impl RunMode {
                     exec: ExecKnobs {
                         cache_dir: cli.cache_dir,
                         threads: cli.threads.unwrap_or(0),
-                        queue: cli.queue,
                         trace_out: cli.trace_out,
                     },
                 })
@@ -279,13 +267,6 @@ impl RunMode {
                     return Err(
                         "--threads does not apply to merge mode (merge loads cells, never \
                          simulates; use `grid` to run missing cells)"
-                            .into(),
-                    );
-                }
-                if cli.queue.is_some() {
-                    return Err(
-                        "--queue does not apply to merge mode (merge loads cells, never \
-                         simulates)"
                             .into(),
                     );
                 }
@@ -333,7 +314,6 @@ impl RunMode {
                     options: RunOptions {
                         cache_dir: cli.cache_dir,
                         threads: cli.threads.unwrap_or(0),
-                        event_queue: cli.queue,
                         trace_dir: cli.trace_out,
                     },
                 })
@@ -349,7 +329,6 @@ fn parse_cli(raw: Vec<String>) -> Result<Cli, Box<dyn std::error::Error>> {
         cache_dir: None,
         shard: None,
         threads: None,
-        queue: None,
         trace_out: None,
         faults: false,
         service: false,
@@ -397,18 +376,6 @@ fn parse_cli(raw: Vec<String>) -> Result<Cli, Box<dyn std::error::Error>> {
                     );
                 }
                 cli.threads = Some(n);
-            }
-            "--queue" => {
-                cli.queue = Some(match value(&mut it, "--queue")?.as_str() {
-                    "heap" => EventQueueKind::BinaryHeap,
-                    "calendar" => EventQueueKind::Calendar,
-                    other => {
-                        return Err(format!(
-                            "unknown event-queue backend {other:?} (expected heap or calendar)"
-                        )
-                        .into())
-                    }
-                });
             }
             other if other.starts_with("--") => {
                 return Err(format!("unknown flag {other:?}").into());
@@ -486,9 +453,6 @@ fn run_grid(
     let mut runner = ExperimentRunner::with_threads(exec.threads);
     if let Some(dir) = &exec.cache_dir {
         runner = runner.cache_dir(dir)?;
-    }
-    if let Some(kind) = exec.queue {
-        runner = runner.event_queue(kind);
     }
     if let Some(dir) = &exec.trace_out {
         runner = runner.trace_dir(dir)?;
@@ -733,10 +697,6 @@ mod tests {
             // grid mode
             (&["grid"], "grid mode needs a spec"),
             (
-                &["grid", "smoke", "--faults", "--service"],
-                "--faults does not combine with --service",
-            ),
-            (
                 &["grid", "smoke", "--list", "--service"],
                 "--service does not apply to --list",
             ),
@@ -761,10 +721,6 @@ mod tests {
                 "--threads does not apply to --list (listing never simulates)",
             ),
             (
-                &["grid", "smoke", "--list", "--queue", "heap"],
-                "--queue does not apply to --list (listing never simulates)",
-            ),
-            (
                 &["grid", "smoke", "--list", "--trace-out", "/tmp/t"],
                 "--trace-out does not apply to --list (listing never simulates)",
             ),
@@ -786,10 +742,6 @@ mod tests {
             (
                 &["merge", "smoke", "--cache-dir", "/tmp/x", "--threads", "2"],
                 "--threads does not apply to merge mode",
-            ),
-            (
-                &["merge", "smoke", "--cache-dir", "/tmp/x", "--queue", "heap"],
-                "--queue does not apply to merge mode",
             ),
             (
                 &[
@@ -818,10 +770,6 @@ mod tests {
                 "--threads does not apply to --list (listing never simulates)",
             ),
             (
-                &["--list", "--queue", "heap"],
-                "--queue does not apply to --list (listing never simulates)",
-            ),
-            (
                 &["--list", "--trace-out", "/tmp/t"],
                 "--trace-out does not apply to --list (listing never simulates)",
             ),
@@ -844,7 +792,16 @@ mod tests {
             &["grid", "smoke"],
             &["grid", "smoke-deadline", "--shard", "1/2", "--threads", "4"],
             &["grid", "smoke", "--faults", "--trace-out", "/tmp/t"],
-            &["grid", "smoke", "--service", "--queue", "calendar"],
+            &["grid", "smoke", "--service", "--threads", "2"],
+            &["grid", "smoke", "--faults", "--service"],
+            &["grid", "smoke-service", "--faults", "--shard", "1/2"],
+            &[
+                "merge",
+                "smoke-service",
+                "--cache-dir",
+                "/tmp/x",
+                "--faults",
+            ],
             &["grid", "smoke", "--fleet"],
             &[
                 "grid",
@@ -920,18 +877,15 @@ mod tests {
 
     #[test]
     fn queue_flag_parses_and_validates() {
-        assert_eq!(
-            parse(&["grid", "smoke", "--queue", "calendar"])
-                .unwrap()
-                .queue,
-            Some(EventQueueKind::Calendar)
-        );
-        assert_eq!(
-            parse(&["grid", "smoke", "--queue", "heap"]).unwrap().queue,
-            Some(EventQueueKind::BinaryHeap)
-        );
-        let err = parse(&["grid", "smoke", "--queue", "fifo"]).unwrap_err();
-        assert!(err.to_string().contains("unknown event-queue"), "{err}");
+        // The engine has one event heap: the old backend flag is refused
+        // as unknown instead of being silently ignored.
+        for backend in ["heap", "calendar"] {
+            let err = parse(&["grid", "smoke", "--queue", backend]).unwrap_err();
+            assert!(
+                err.to_string().contains("unknown flag \"--queue\""),
+                "{err}"
+            );
+        }
     }
 
     #[test]

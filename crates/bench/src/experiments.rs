@@ -55,9 +55,6 @@ pub struct RunOptions {
     pub cache_dir: Option<PathBuf>,
     /// Worker threads (`0` = one per available core).
     pub threads: usize,
-    /// Pending-event-set backend override for simulated cells (results
-    /// are identical on either; `None` = per-cell default).
-    pub event_queue: Option<dmhpc_sim::EventQueueKind>,
     /// Stream every simulated cell's event trace to this directory as
     /// JSONL (constant memory per cell; hash-neutral, so caches stay
     /// warm). `None` = no trace export.
@@ -86,9 +83,6 @@ pub fn run_with(id: &str, options: &RunOptions) -> Result<Option<ExpResult>, Sim
     let mut runner = ExperimentRunner::with_threads(options.threads);
     if let Some(dir) = &options.cache_dir {
         runner = runner.cache_dir(dir)?;
-    }
-    if let Some(kind) = options.event_queue {
-        runner = runner.event_queue(kind);
     }
     if let Some(dir) = &options.trace_dir {
         runner = runner.trace_dir(dir)?;
@@ -119,9 +113,8 @@ pub fn smoke_spec() -> Result<ExperimentSpec, SimError> {
 }
 
 /// The contention-model smoke grid: the same shape as [`smoke_spec`] but
-/// under the dynamic `Contention` slowdown, so re-dilation (and, via
-/// `repro grid smoke-contention --queue calendar` in CI, the calendar
-/// event-queue backend) is exercised end to end on every PR.
+/// under the dynamic `Contention` slowdown, so re-dilation is exercised
+/// end to end on every PR.
 pub fn smoke_contention_spec() -> Result<ExperimentSpec, SimError> {
     let contention = SlowdownModel::Contention {
         penalty: 1.5,
@@ -1160,7 +1153,6 @@ mod tests {
         let options = RunOptions {
             cache_dir: Some(dir.clone()),
             threads: 2,
-            event_queue: None,
             trace_dir: None,
         };
         let cold = run_with("f2", &options).unwrap().unwrap();

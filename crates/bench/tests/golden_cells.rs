@@ -7,11 +7,11 @@
 //! feature existed — otherwise every pre-SLO result cache in the wild is
 //! silently invalidated. These tests pin the cache cell keys of the three
 //! long-standing smoke grids to the values captured before the redesign,
-//! and prove a warm cache replays byte-identically on both event-queue
-//! backends.
+//! and prove a warm cache replays byte-identically on a differently
+//! configured runner.
 
 use dmhpc_bench::experiments;
-use dmhpc_sim::{EventQueueKind, ExperimentRunner, ExperimentSpec};
+use dmhpc_sim::{ExperimentRunner, ExperimentSpec};
 
 /// `(cell label, cache cell key)` for every cell of a grid, captured
 /// before SLO stamps / `SchedContext` / deadline policies existed.
@@ -188,28 +188,21 @@ fn smoke_fleet_baseline_keeps_goldens_and_fleet_cells_are_disjoint() {
 }
 
 /// Federated cells round-trip through the result cache like plain cells:
-/// cold-run the fleet grid on the heap backend, warm-replay on the
-/// calendar backend — zero simulations, byte-identical exports. This
-/// pins both cache replay of fleet aggregates and heap-vs-calendar
-/// byte-identity of the federation engine, end to end through the grid
-/// runner.
+/// cold-run the fleet grid on two workers, warm-replay on one — zero
+/// simulations, byte-identical exports. This pins cache replay of fleet
+/// aggregates end to end through the grid runner. (The name predates the
+/// single event heap.)
 #[test]
 fn smoke_fleet_warm_replay_is_byte_identical_across_backends() {
     let dir = std::env::temp_dir().join(format!("dmhpc-golden-fleet-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let spec = experiments::smoke_fleet_spec().unwrap();
 
-    let cold_runner = ExperimentRunner::with_threads(2)
-        .event_queue(EventQueueKind::BinaryHeap)
-        .cache_dir(&dir)
-        .unwrap();
+    let cold_runner = ExperimentRunner::with_threads(2).cache_dir(&dir).unwrap();
     let cold = cold_runner.run(&spec).unwrap();
     assert_eq!(cold.stats().simulated, cold.len(), "cold run simulates all");
 
-    let warm_runner = ExperimentRunner::with_threads(2)
-        .event_queue(EventQueueKind::Calendar)
-        .cache_dir(&dir)
-        .unwrap();
+    let warm_runner = ExperimentRunner::with_threads(1).cache_dir(&dir).unwrap();
     let warm = warm_runner.run(&spec).unwrap();
     assert_eq!(warm.stats().simulated, 0, "warm run is all cache hits");
     assert_eq!(cold.to_csv(), warm.to_csv(), "CSV replays byte-identically");
@@ -217,28 +210,23 @@ fn smoke_fleet_warm_replay_is_byte_identical_across_backends() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Cold-run the smoke grid into a cache on one event-queue backend, then
-/// warm-replay it on the *other* backend: zero simulations, and the
-/// exported CSV and JSON documents are byte-identical. Backend choice and
-/// replay must both be invisible in results — including the new trailing
-/// `slo_attainment` column, which stays empty for this SLO-free grid.
+/// Cold-run the smoke grid into a cache on two workers, then warm-replay
+/// it on one: zero simulations, and the exported CSV and JSON documents
+/// are byte-identical. Worker count and replay must both be invisible in
+/// results — including the new trailing `slo_attainment` column, which
+/// stays empty for this SLO-free grid. (The name predates the single
+/// event heap.)
 #[test]
 fn warm_replay_is_byte_identical_on_both_queue_backends() {
     let dir = std::env::temp_dir().join(format!("dmhpc-golden-replay-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let spec = experiments::smoke_spec().unwrap();
 
-    let cold_runner = ExperimentRunner::with_threads(2)
-        .event_queue(EventQueueKind::BinaryHeap)
-        .cache_dir(&dir)
-        .unwrap();
+    let cold_runner = ExperimentRunner::with_threads(2).cache_dir(&dir).unwrap();
     let cold = cold_runner.run(&spec).unwrap();
     assert_eq!(cold.stats().simulated, cold.len(), "cold run simulates all");
 
-    let warm_runner = ExperimentRunner::with_threads(2)
-        .event_queue(EventQueueKind::Calendar)
-        .cache_dir(&dir)
-        .unwrap();
+    let warm_runner = ExperimentRunner::with_threads(1).cache_dir(&dir).unwrap();
     let warm = warm_runner.run(&spec).unwrap();
     assert_eq!(warm.stats().simulated, 0, "warm run is all cache hits");
     assert_eq!(warm.stats().cache_hits, cold.len());

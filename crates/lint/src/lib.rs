@@ -1,7 +1,7 @@
 //! `dmhpc-lint`: the workspace's determinism & hash-discipline auditor.
 //!
 //! Every guarantee this repo sells — byte-identical warm-cache replays,
-//! 1-vs-N-thread and heap-vs-calendar trace equality, hash-neutral
+//! 1-vs-N-thread and closed-vs-open trace equality, hash-neutral
 //! absence values for the fault/service/fleet/SLO axes — rests on
 //! conventions that compilers do not check: no unordered iteration in
 //! result-affecting paths, no wall clocks or ambient randomness, every

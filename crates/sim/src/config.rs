@@ -3,50 +3,6 @@
 use dmhpc_platform::ClusterSpec;
 use dmhpc_sched::SchedulerConfig;
 
-/// Which pending-event-set implementation the engine drives.
-///
-/// Purely an execution knob: both backends are stable queues and the
-/// engine produces **bit-identical traces** on either (tested), so the
-/// choice never invalidates cached experiment cells — it is excluded from
-/// result-cache hashing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EventQueueKind {
-    /// `std::collections::BinaryHeap`-backed queue: O(log n) everywhere
-    /// with excellent constants. The default.
-    #[default]
-    BinaryHeap,
-    /// Brown's adaptive calendar queue: amortized O(1) insert/extract on
-    /// well-spaced event times (which batch workloads are). Opt-in.
-    Calendar,
-}
-
-impl EventQueueKind {
-    /// Stable name (`heap`/`calendar`) for CLI flags and bench labels.
-    pub fn name(&self) -> &'static str {
-        match self {
-            EventQueueKind::BinaryHeap => "heap",
-            EventQueueKind::Calendar => "calendar",
-        }
-    }
-}
-
-/// Declarative observer attachments carried by the config.
-///
-/// Purely observational (like [`EventQueueKind`], an execution knob):
-/// nothing here can change a run's results or trace hash, and the struct
-/// is excluded from experiment cell hashes — attaching observers never
-/// invalidates a result cache. Observers that need per-run resources
-/// (trace files, sample buffers) attach through
-/// [`crate::Simulation::with_observer`] / `ExperimentRunner::observe`
-/// instead; this struct holds only the side-effect-free built-ins a
-/// config can fully describe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ObserverSpec {
-    /// Emit a progress heartbeat to stderr every N observed events
-    /// (`None` = silent, the default).
-    pub progress_every: Option<u64>,
-}
-
 /// Everything that defines a run besides the workload.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
@@ -65,44 +21,23 @@ pub struct SimConfig {
     /// per *batch*, not per pass: its cost scales with events, and stays
     /// the dominant cost of a checked run on large machines.
     pub check_invariants: bool,
-    /// Pending-event-set backend. Results are identical either way; see
-    /// [`EventQueueKind`].
-    pub event_queue: EventQueueKind,
-    /// Declarative built-in observers (hash-neutral; see [`ObserverSpec`]).
-    pub observers: ObserverSpec,
 }
 
 impl SimConfig {
     /// A config with production defaults (walltime enforcement on,
-    /// invariant checking off, binary-heap event queue).
+    /// invariant checking off).
     pub fn new(cluster: ClusterSpec, scheduler: SchedulerConfig) -> Self {
         SimConfig {
             cluster,
             scheduler,
             enforce_walltime: true,
             check_invariants: false,
-            event_queue: EventQueueKind::default(),
-            observers: ObserverSpec::default(),
         }
     }
 
     /// Same config with invariant checking on (for tests).
     pub fn checked(mut self) -> Self {
         self.check_invariants = true;
-        self
-    }
-
-    /// Same config with the given event-queue backend.
-    pub fn with_event_queue(mut self, kind: EventQueueKind) -> Self {
-        self.event_queue = kind;
-        self
-    }
-
-    /// Same config with a progress heartbeat every `every` observed
-    /// events (hash-neutral: purely observational).
-    #[deprecated(note = "attach per run: `run_with(w, ObserverSet::new().progress_every(n))`")]
-    pub fn with_progress_every(mut self, every: u64) -> Self {
-        self.observers.progress_every = Some(every);
         self
     }
 
@@ -128,14 +63,5 @@ mod tests {
         assert!(!cfg.check_invariants);
         assert!(cfg.checked().check_invariants);
         assert_eq!(cfg.label(), "fcfs+easy+local-only");
-        assert_eq!(cfg.event_queue, EventQueueKind::BinaryHeap);
-        let cal = cfg.with_event_queue(EventQueueKind::Calendar);
-        assert_eq!(cal.event_queue, EventQueueKind::Calendar);
-        assert_eq!(cal.event_queue.name(), "calendar");
-        assert_eq!(EventQueueKind::BinaryHeap.name(), "heap");
-        assert_eq!(cfg.observers, ObserverSpec::default());
-        #[allow(deprecated)]
-        let with_progress = cfg.with_progress_every(500);
-        assert_eq!(with_progress.observers.progress_every, Some(500));
     }
 }

@@ -222,8 +222,8 @@ impl ExperimentBuilder {
     /// scenarios crosses them into the grid like any other dimension. Add
     /// [`ServiceSpec::none`] explicitly to keep a closed baseline
     /// alongside open scenarios — its cells hash (and cache) identically
-    /// to a grid without the axis. Open scenarios do not combine with
-    /// fault scenarios (rejected at build).
+    /// to a grid without the axis. Open scenarios cross with the fault
+    /// axis: each open stream runs under each fault scenario.
     pub fn service(mut self, spec: ServiceSpec) -> Self {
         self.services.push(spec);
         self

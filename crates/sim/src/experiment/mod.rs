@@ -196,7 +196,8 @@ pub struct ExperimentSpec {
     pub faults: Vec<FaultSpec>,
     /// Service-scenario axis. Empty = every cell is a closed batch run
     /// (identical to the pre-service grid, hash-for-hash). Open scenarios
-    /// do not combine with fault scenarios.
+    /// cross with the fault axis like any other: an open stream runs
+    /// under a fault scenario.
     pub services: Vec<ServiceSpec>,
     /// Fleet axis. Empty = every cell runs on a single cluster (identical
     /// to the pre-federation grid, hash-for-hash). Federated scenarios do
@@ -366,14 +367,6 @@ impl ExperimentSpec {
             return Err(SimError::spec(
                 "service axis contains scenarios with colliding labels \
                  (duplicate or near-duplicate ServiceSpecs)",
-            ));
-        }
-        // The engine rejects the combination per run; surface it here so
-        // the whole grid fails before any cell simulates.
-        if self.services.iter().any(|s| !s.is_none()) && self.faults.iter().any(|f| !f.is_none()) {
-            return Err(SimError::spec(
-                "open-system service scenarios do not combine with fault scenarios \
-                 (split them into separate experiments)",
             ));
         }
         for fleet in &self.fleets {
@@ -759,7 +752,7 @@ mod tests {
     }
 
     #[test]
-    fn service_axis_rejects_collisions_and_fault_combination() {
+    fn service_axis_rejects_collisions_and_composes_with_faults() {
         let svc = ServiceSpec::open(SystemPreset::HighThroughput).with_horizon_jobs(200);
         let err = ExperimentSpec::builder("dup-svc")
             .preset(SystemPreset::HighThroughput, 20)
@@ -774,16 +767,22 @@ mod tests {
 
         let mut gen = crate::FaultGenerator::quiet(5, 40_000);
         gen.node_mtbf_s = 8_000;
-        let err = ExperimentSpec::builder("svc-faults")
+        let spec = ExperimentSpec::builder("svc-faults")
             .preset(SystemPreset::HighThroughput, 20)
             .pool(PoolTopology::None)
             .seed(1)
             .scheduler(dmhpc_sched::SchedulerBuilder::new().build())
+            .fault(crate::FaultSpec::none())
             .fault(crate::FaultSpec::none().with_generator(gen))
+            .service(ServiceSpec::none())
             .service(svc)
             .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("do not combine"), "{err}");
+            .unwrap();
+        let cells = spec.compile().unwrap();
+        assert_eq!(cells.len(), 4, "faults cross services like any axis");
+        let both = &cells[3];
+        assert!(!both.faults.is_none() && !both.service.is_none());
+        assert!(both.key.fault.is_some() && both.key.service.is_some());
     }
 
     #[test]

@@ -39,7 +39,6 @@ use std::sync::Arc;
 pub struct ExperimentRunner {
     threads: usize,
     cache: Option<ResultCache>,
-    event_queue: Option<crate::EventQueueKind>,
     /// Per-cell observer factories (see [`ExperimentRunner::observe`]).
     observers: Vec<Arc<dyn ObserverFactory>>,
 }
@@ -49,7 +48,6 @@ impl std::fmt::Debug for ExperimentRunner {
         f.debug_struct("ExperimentRunner")
             .field("threads", &self.threads)
             .field("cache", &self.cache)
-            .field("event_queue", &self.event_queue)
             .field("observers", &self.observers.len())
             .finish()
     }
@@ -72,15 +70,6 @@ impl ExperimentRunner {
             threads,
             ..Self::default()
         }
-    }
-
-    /// Override every simulated cell's pending-event-set backend (an
-    /// execution knob like `threads`: results — and therefore cell hashes
-    /// and cache entries — are identical on either backend, so this never
-    /// invalidates a cache).
-    pub fn event_queue(mut self, kind: crate::EventQueueKind) -> Self {
-        self.event_queue = Some(kind);
-        self
     }
 
     /// Attach a content-addressed result cache rooted at `dir` (created if
@@ -229,10 +218,6 @@ impl ExperimentRunner {
             } else {
                 &empty
             };
-            let mut config = cell.config;
-            if let Some(kind) = self.event_queue {
-                config.event_queue = kind;
-            }
             // Fleet cells run the federation engine serially (the grid
             // already parallelizes across cells) and report the
             // fleet-level aggregate. They are observation-free: per-site
@@ -242,11 +227,11 @@ impl ExperimentRunner {
             // bugs — but they ride the per-cell error channel rather than
             // panicking a worker thread.
             if !cell.fleet.is_none() {
-                let result = FleetSimulation::new(&cell.fleet, config)
+                let result = FleetSimulation::new(&cell.fleet, cell.config)
                     .map(|fleet| fleet.run(workload).aggregate);
                 return (*i, cell.clone(), *hash, result);
             }
-            let result = Simulation::new(config)
+            let result = Simulation::new(cell.config)
                 .and_then(|s| s.with_fault_spec(cell.faults.clone()))
                 .and_then(|s| s.with_service_spec(cell.service.clone()))
                 .and_then(|sim| {
@@ -351,26 +336,6 @@ mod tests {
                 a.key.label()
             );
             assert_eq!(a.output.report.mean_wait_s, b.output.report.mean_wait_s);
-        }
-    }
-
-    #[test]
-    fn event_queue_backend_does_not_change_results() {
-        let spec = small_spec();
-        let heap = ExperimentRunner::with_threads(2).run(&spec).unwrap();
-        let calendar = ExperimentRunner::with_threads(2)
-            .event_queue(crate::EventQueueKind::Calendar)
-            .run(&spec)
-            .unwrap();
-        for (a, b) in heap.cells().iter().zip(calendar.cells()) {
-            assert_eq!(a.key, b.key);
-            assert_eq!(
-                a.output.trace_hash,
-                b.output.trace_hash,
-                "{}",
-                a.key.label()
-            );
-            assert_eq!(a.output.passes, b.output.passes);
         }
     }
 

@@ -240,8 +240,8 @@ pub struct FleetOutput {
 
 impl FleetSimulation {
     /// Resolve `fleet` against `base` (the config unpinned sites
-    /// inherit; its `event_queue`, `enforce_walltime`, and
-    /// `check_invariants` knobs apply to every site).
+    /// inherit; its `enforce_walltime` and `check_invariants` knobs apply
+    /// to every site).
     pub fn new(fleet: &FleetSpec, base: SimConfig) -> Result<Self, SimError> {
         if fleet.is_none() {
             return Err(SimError::spec(
@@ -308,18 +308,9 @@ impl FleetSimulation {
         let site_outputs = if workers <= 1 {
             let runtimes: Vec<SiteRuntime> =
                 self.sites.iter().map(|s| SiteRuntime::new(s.cfg)).collect();
-            let empty = Workload::from_jobs(Vec::new());
-            let engines: Vec<SiteEngine<'_>> = runtimes
-                .iter()
-                .map(|rt| rt.engine(&empty, origin))
-                .collect();
-            run_epochs(
-                SerialTransport {
-                    engines,
-                    empty: &empty,
-                },
-                &mut router,
-            )
+            let engines: Vec<SiteEngine<'_>> =
+                runtimes.iter().map(|rt| rt.engine(origin)).collect();
+            run_epochs(SerialTransport { engines }, &mut router)
         } else {
             self.run_threaded(workers, origin, &mut router)
         };
@@ -484,13 +475,12 @@ impl SiteRuntime {
         }
     }
 
-    fn engine<'a>(&'a self, empty: &Workload, origin: SimTime) -> SiteEngine<'a> {
-        SiteEngine::new(
+    fn engine(&self, origin: SimTime) -> SiteEngine<'_> {
+        SiteEngine::site(
             &self.cfg,
             &self.scheduler,
             &self.faults,
             &self.service,
-            empty,
             origin,
         )
     }
@@ -582,18 +572,17 @@ fn run_epochs<T: EpochTransport>(mut transport: T, router: &mut Router) -> Vec<S
 }
 
 /// All sites advanced inline on the caller's thread.
-struct SerialTransport<'e, 'a> {
+struct SerialTransport<'a> {
     engines: Vec<SiteEngine<'a>>,
-    empty: &'e Workload,
 }
 
-impl EpochTransport for SerialTransport<'_, '_> {
+impl EpochTransport for SerialTransport<'_> {
     fn step(&mut self, batch: Vec<(usize, Job)>, until: SimTime) -> Vec<SiteSnapshot> {
         for (site, job) in batch {
             self.engines[site].inject(job);
         }
         for e in self.engines.iter_mut() {
-            e.advance_until(self.empty, until);
+            e.advance_until(until);
         }
         self.engines
             .iter()
@@ -603,11 +592,11 @@ impl EpochTransport for SerialTransport<'_, '_> {
     }
 
     fn finish(self, batch: Vec<(usize, Job)>) -> Vec<SimOutput> {
-        let SerialTransport { mut engines, empty } = self;
+        let SerialTransport { mut engines } = self;
         for (site, job) in batch {
             engines[site].inject(job);
         }
-        engines.into_iter().map(|e| e.finish(empty)).collect()
+        engines.into_iter().map(SiteEngine::finish).collect()
     }
 }
 
@@ -715,11 +704,10 @@ fn worker_loop(
         .iter()
         .map(|&(_, cfg)| SiteRuntime::new(cfg))
         .collect();
-    let empty = Workload::from_jobs(Vec::new());
     let mut engines: Vec<(usize, SiteEngine<'_>)> = my_sites
         .iter()
         .zip(runtimes.iter())
-        .map(|(&(global, _), rt)| (global, rt.engine(&empty, origin)))
+        .map(|(&(global, _), rt)| (global, rt.engine(origin)))
         .collect();
     let inject = |engines: &mut Vec<(usize, SiteEngine<'_>)>, jobs: Vec<(usize, Job)>| {
         for (site, job) in jobs {
@@ -736,7 +724,7 @@ fn worker_loop(
             Cmd::Step { jobs, until } => {
                 inject(&mut engines, jobs);
                 for (_, e) in engines.iter_mut() {
-                    e.advance_until(&empty, until);
+                    e.advance_until(until);
                 }
                 let snaps = engines.iter().map(|(g, e)| e.snapshot(*g)).collect();
                 if reply.send(Reply::Snaps(snaps)).is_err() {
@@ -746,10 +734,7 @@ fn worker_loop(
             Cmd::Finish { jobs } => {
                 inject(&mut engines, jobs);
                 let engines = std::mem::take(&mut engines);
-                let outs = engines
-                    .into_iter()
-                    .map(|(g, e)| (g, e.finish(&empty)))
-                    .collect();
+                let outs = engines.into_iter().map(|(g, e)| (g, e.finish())).collect();
                 let _ = reply.send(Reply::Done(outs));
                 return;
             }
@@ -760,7 +745,6 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::EventQueueKind;
     use dmhpc_platform::{NodeSpec, PoolTopology};
     use dmhpc_sched::SchedulerBuilder;
     use dmhpc_workload::JobBuilder;
@@ -832,46 +816,30 @@ mod tests {
 
     #[test]
     fn worker_count_is_byte_identical_on_both_backends() {
+        // The name predates the single event heap: worker count is the
+        // one execution knob left, and it must stay invisible.
         let w = burst(60);
-        for backend in [EventQueueKind::BinaryHeap, EventQueueKind::Calendar] {
-            let cfg = base().with_event_queue(backend);
-            let fleet = FleetSpec::symmetric(4, 180.0, MetaPolicyKind::LeastMemoryPressure);
-            let sim = FleetSimulation::new(&fleet, cfg).unwrap();
-            let serial = sim.run(&w);
-            for workers in [2, 3, 4, 8] {
-                let threaded = FleetSimulation::new(&fleet, cfg)
-                    .unwrap()
-                    .workers(workers)
-                    .run(&w);
+        let fleet = FleetSpec::symmetric(4, 180.0, MetaPolicyKind::LeastMemoryPressure);
+        let serial = FleetSimulation::new(&fleet, base()).unwrap().run(&w);
+        for workers in [2, 3, 4, 8] {
+            let threaded = FleetSimulation::new(&fleet, base())
+                .unwrap()
+                .workers(workers)
+                .run(&w);
+            assert_eq!(
+                threaded.aggregate.trace_hash, serial.aggregate.trace_hash,
+                "workers={workers}"
+            );
+            for (a, b) in serial.site_outputs.iter().zip(&threaded.site_outputs) {
+                assert_eq!(a.trace_hash, b.trace_hash);
                 assert_eq!(
-                    threaded.aggregate.trace_hash,
-                    serial.aggregate.trace_hash,
-                    "workers={workers} backend={}",
-                    backend.name()
+                    a.report.mean_wait_s.to_bits(),
+                    b.report.mean_wait_s.to_bits()
                 );
-                for (a, b) in serial.site_outputs.iter().zip(&threaded.site_outputs) {
-                    assert_eq!(a.trace_hash, b.trace_hash);
-                    assert_eq!(
-                        a.report.mean_wait_s.to_bits(),
-                        b.report.mean_wait_s.to_bits()
-                    );
-                    assert_eq!(a.report.node_util.to_bits(), b.report.node_util.to_bits());
-                }
-                assert_eq!(threaded.routed_jobs, serial.routed_jobs);
+                assert_eq!(a.report.node_util.to_bits(), b.report.node_util.to_bits());
             }
+            assert_eq!(threaded.routed_jobs, serial.routed_jobs);
         }
-    }
-
-    #[test]
-    fn backends_are_byte_identical_to_each_other() {
-        let w = burst(50);
-        let fleet = FleetSpec::symmetric(3, 240.0, MetaPolicyKind::LeastQueueDepth);
-        let heap = FleetSimulation::new(&fleet, base()).unwrap().run(&w);
-        let cal = FleetSimulation::new(&fleet, base().with_event_queue(EventQueueKind::Calendar))
-            .unwrap()
-            .workers(2)
-            .run(&w);
-        assert_eq!(heap.aggregate.trace_hash, cal.aggregate.trace_hash);
     }
 
     #[test]

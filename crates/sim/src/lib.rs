@@ -33,9 +33,10 @@
 //! * [`service`] — open-system service mode: a [`ServiceSpec`] describes
 //!   a streaming arrival scenario (Poisson / diurnal / MMPP process,
 //!   load control by rate or target utilization, a run horizon by job
-//!   count or duration, a warmup cutoff). The engine admits jobs
-//!   pull-based — one pending arrival in flight, refilled from the
-//!   source — and metrics come from O(1)-memory sketches
+//!   count or duration, a warmup cutoff). The engine pulls jobs from
+//!   the source one ahead of the clock — the same arrival cursor closed
+//!   runs read their workload through — and metrics come from
+//!   O(1)-memory sketches
 //!   ([`observe::SketchStatsObserver`]) instead of per-job records.
 //! * [`sweep`] — scoped-thread parallel fan-out with deterministic result
 //!   ordering (the runner's execution substrate).
@@ -64,7 +65,7 @@ pub mod service;
 pub mod sweep;
 
 pub use collector::SeriesBundle;
-pub use config::{EventQueueKind, ObserverSpec, SimConfig};
+pub use config::SimConfig;
 pub use engine::{ObserverSet, SimOutput, Simulation};
 pub use error::SimError;
 pub use experiment::{

@@ -150,17 +150,18 @@ impl FaultObserver {
     }
 
     /// Derive the run's [`FaultSummary`] over the metrics window
-    /// `[window start, end]`. `node_util` and the busy-node series come
-    /// from the series observer; without downtime inside the window,
-    /// `avail_util` is the *same expression* as `node_util` (bit-equal)
-    /// and downtime is exactly zero — fault-free outputs are unchanged.
+    /// `[window start, end]`. `node_util` is the run's reported node
+    /// utilization and `busy_node_s` the busy node-seconds integrated up
+    /// to `end`. Without downtime inside the window, `avail_util` is
+    /// `node_util` itself (bit-equal) and downtime is exactly zero —
+    /// fault-free outputs are unchanged.
     pub fn finalize(
         &self,
         end: SimTime,
         makespan: SimDuration,
         total_nodes: f64,
         node_util: f64,
-        series: &SeriesBundle,
+        busy_node_s: f64,
     ) -> FaultSummary {
         let mut summary = FaultSummary {
             interruptions: self.interruptions,
@@ -187,7 +188,6 @@ impl FaultObserver {
             }
             summary.downtime_node_s =
                 (total_nodes * makespan.as_secs_f64() - avail_node_s).max(0.0);
-            let busy_node_s = series.nodes_busy.stats().integral_until(end);
             summary.avail_util = if avail_node_s > 0.0 {
                 busy_node_s / avail_node_s
             } else {
@@ -302,14 +302,15 @@ mod tests {
             action: FaultAction::NodeRepair(NodeId(0)),
             nodes_in_service: 4,
         });
-        let series = SeriesBundle::new(SimTime::ZERO, &spec());
         let end = SimTime::from_secs(40);
-        let summary = obs.finalize(end, SimDuration::from_secs(40), 4.0, 0.0, &series);
+        let summary = obs.finalize(end, SimDuration::from_secs(40), 4.0, 0.0, 70.0);
         assert_eq!(summary.interruptions, 1);
         assert_eq!(summary.resubmissions, 1);
         assert!((summary.rework_s - 10.0).abs() < 1e-12);
         // 4×40 total − (4×10 + 3×20 + 4×10) = 20 node-seconds down.
         assert!((summary.downtime_node_s - 20.0).abs() < 1e-9);
+        // 70 busy of the 140 available node-seconds.
+        assert!((summary.avail_util - 0.5).abs() < 1e-12);
     }
 
     #[test]

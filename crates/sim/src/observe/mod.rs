@@ -34,8 +34,8 @@
 //! **Hash-neutrality rule:** observers *consume* the stream, they never
 //! feed back into it. Attaching any observer changes neither the trace
 //! hash nor any metric, and observer configuration is excluded from
-//! experiment cell hashes (like `event_queue`) — so result caches built
-//! before this API replay untouched.
+//! experiment cell hashes (like the runner's thread count) — so result
+//! caches built before this API replay untouched.
 //!
 //! Attach points, innermost to outermost: per run, everything goes
 //! through one [`crate::ObserverSet`] passed to

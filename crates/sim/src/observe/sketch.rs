@@ -141,10 +141,16 @@ impl SketchStatsObserver {
         }
     }
 
+    /// Busy node-seconds over the whole run up to `end` (not just the
+    /// measurement window): the availability denominator's counterpart.
+    pub fn busy_node_s(&self, end: SimTime) -> f64 {
+        self.nodes_busy.integral_until(end)
+    }
+
     /// Synthesize the run's report and service summary at end of run.
-    /// `faults` carries interruption counters and availability (service
-    /// runs without fault scenarios pass a default whose `avail_util`
-    /// equals the computed node utilization).
+    /// `faults` carries interruption counters and availability; `None`
+    /// stands for a fault-free run, whose `avail_util` equals the
+    /// computed node utilization.
     pub fn finalize(
         &self,
         label: &str,

@@ -28,9 +28,9 @@
 //! stacks (+reject, +defer) beat EDF-alone by several attainment points:
 //! turning away — or parking — the handful of jobs that were never going
 //! to make it returns their nodes to jobs whose deadlines are still
-//! live. The run also proves the whole stack deterministic: the per-cell trace hashes are byte-identical
-//! whether the grid runs on one thread or several, and on the binary-heap
-//! or calendar event queue.
+//! live. The run also proves the whole stack deterministic: the per-cell
+//! trace hashes are byte-identical whether the grid runs on one thread or
+//! several.
 //!
 //! ```text
 //! cargo run --release --example admission_study
@@ -156,8 +156,8 @@ fn main() -> Result<(), SimError> {
          +defer {defer:.4})"
     );
 
-    // Determinism: the identical grid on several threads and on the
-    // calendar event queue must reproduce every cell byte-for-byte.
+    // Determinism: the identical grid on several threads must reproduce
+    // every cell byte-for-byte.
     let hashes = |r: &ExperimentResults| -> Vec<(String, u64)> {
         r.cells()
             .iter()
@@ -171,19 +171,11 @@ fn main() -> Result<(), SimError> {
         hashes(&threaded),
         "trace hashes must not depend on worker-thread count"
     );
-    let calendar = ExperimentRunner::with_threads(1)
-        .event_queue(EventQueueKind::Calendar)
-        .run(&spec)?;
-    assert_eq!(
-        reference,
-        hashes(&calendar),
-        "trace hashes must not depend on the event-queue backend"
-    );
 
     println!(
         "\ndeadline stack wins: +laxity {:+.2} pts, +reject {:+.2} pts, +defer {:+.2} pts \
          over edf-alone at identical offered load; all {} cells byte-identical across \
-         1-vs-4 threads and heap-vs-calendar event queues.",
+         1-vs-4 threads.",
         100.0 * (laxity - edf_alone),
         100.0 * (reject - edf_alone),
         100.0 * (defer - edf_alone),

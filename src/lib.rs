@@ -111,10 +111,10 @@ pub mod prelude {
         SampledSeriesProbe, SimEvent, SketchStatsObserver, TraceDir, TraceSink,
     };
     pub use dmhpc_sim::{
-        CellKey, CellResult, EventQueueKind, ExperimentResults, ExperimentRunner, ExperimentSpec,
-        FaultAction, FaultGenerator, FaultSpec, FleetOutput, FleetSimulation, FleetSpec,
-        InterruptPolicy, ObserverSet, ObserverSpec, ResultCache, RunStats, ServiceLoad,
-        ServiceSpec, Shard, SimConfig, SimError, SimOutput, Simulation, SiteSpec, WorkloadSource,
+        CellKey, CellResult, ExperimentResults, ExperimentRunner, ExperimentSpec, FaultAction,
+        FaultGenerator, FaultSpec, FleetOutput, FleetSimulation, FleetSpec, InterruptPolicy,
+        ObserverSet, ResultCache, RunStats, ServiceLoad, ServiceSpec, Shard, SimConfig, SimError,
+        SimOutput, Simulation, SiteSpec, WorkloadSource,
     };
     pub use dmhpc_workload::source::{ArrivalProcess, JobSource};
     pub use dmhpc_workload::{

@@ -622,26 +622,20 @@ const SMOKE_GOLDEN_HASHES: [u64; 8] = [
 #[test]
 fn smoke_grid_matches_pre_refactor_golden_hashes() {
     let spec = smoke_grid();
-    for kind in [EventQueueKind::BinaryHeap, EventQueueKind::Calendar] {
-        let results = ExperimentRunner::with_threads(1)
-            .event_queue(kind)
-            .run(&spec)
-            .unwrap();
-        assert_eq!(results.len(), SMOKE_GOLDEN_HASHES.len());
-        for (cell, &golden) in results.cells().iter().zip(&SMOKE_GOLDEN_HASHES) {
-            assert_eq!(
-                cell.output.trace_hash,
-                golden,
-                "{} on {:?} diverged from the pre-refactor engine",
-                cell.key.label(),
-                kind
-            );
-        }
+    let results = ExperimentRunner::with_threads(1).run(&spec).unwrap();
+    assert_eq!(results.len(), SMOKE_GOLDEN_HASHES.len());
+    for (cell, &golden) in results.cells().iter().zip(&SMOKE_GOLDEN_HASHES) {
+        assert_eq!(
+            cell.output.trace_hash,
+            golden,
+            "{} diverged from the pre-refactor engine",
+            cell.key.label()
+        );
     }
 }
 
-/// The same golden table with an *explicit* `FaultSpec::none()` axis, on
-/// both event-queue backends: the fault subsystem's identity scenario
+/// The same golden table with an *explicit* `FaultSpec::none()` axis:
+/// the fault subsystem's identity scenario
 /// must be bit-identical to the PR-3 engine — same traces, same pass
 /// counts, and `avail_util == node_util` by the very same expression.
 #[test]
@@ -651,26 +645,20 @@ fn smoke_grid_with_none_fault_spec_matches_golden_hashes() {
         .build()
         .unwrap();
     assert_eq!(spec.cell_count(), SMOKE_GOLDEN_HASHES.len());
-    for kind in [EventQueueKind::BinaryHeap, EventQueueKind::Calendar] {
-        let results = ExperimentRunner::with_threads(1)
-            .event_queue(kind)
-            .run(&spec)
-            .unwrap();
-        for (cell, &golden) in results.cells().iter().zip(&SMOKE_GOLDEN_HASHES) {
-            assert_eq!(
-                cell.output.trace_hash,
-                golden,
-                "{} on {:?}: FaultSpec::none() diverged from the fault-free engine",
-                cell.key.label(),
-                kind
-            );
-            assert_eq!(cell.key.fault, None, "identity scenario is unlabeled");
-            assert_eq!(cell.output.faults.interruptions, 0);
-            assert_eq!(
-                cell.output.report.avail_util, cell.output.report.node_util,
-                "no downtime ⇒ identical utilization expressions"
-            );
-        }
+    let results = ExperimentRunner::with_threads(1).run(&spec).unwrap();
+    for (cell, &golden) in results.cells().iter().zip(&SMOKE_GOLDEN_HASHES) {
+        assert_eq!(
+            cell.output.trace_hash,
+            golden,
+            "{}: FaultSpec::none() diverged from the fault-free engine",
+            cell.key.label()
+        );
+        assert_eq!(cell.key.fault, None, "identity scenario is unlabeled");
+        assert_eq!(cell.output.faults.interruptions, 0);
+        assert_eq!(
+            cell.output.report.avail_util, cell.output.report.node_util,
+            "no downtime ⇒ identical utilization expressions"
+        );
     }
 }
 
@@ -684,24 +672,19 @@ fn smoke_grid_with_none_fault_spec_matches_golden_hashes() {
 fn smoke_grid_with_observers_matches_golden_hashes() {
     let dir = std::env::temp_dir().join(format!("dmhpc-observe-golden-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let spec = smoke_grid();
-    for kind in [EventQueueKind::BinaryHeap, EventQueueKind::Calendar] {
-        let results = ExperimentRunner::with_threads(2)
-            .event_queue(kind)
-            .trace_dir(&dir)
-            .unwrap()
-            .run(&spec)
-            .unwrap();
-        assert_eq!(results.len(), SMOKE_GOLDEN_HASHES.len());
-        for (cell, &golden) in results.cells().iter().zip(&SMOKE_GOLDEN_HASHES) {
-            assert_eq!(
-                cell.output.trace_hash,
-                golden,
-                "{} on {:?}: attached observers changed the trace",
-                cell.key.label(),
-                kind
-            );
-        }
+    let results = ExperimentRunner::with_threads(2)
+        .trace_dir(&dir)
+        .unwrap()
+        .run(&smoke_grid())
+        .unwrap();
+    assert_eq!(results.len(), SMOKE_GOLDEN_HASHES.len());
+    for (cell, &golden) in results.cells().iter().zip(&SMOKE_GOLDEN_HASHES) {
+        assert_eq!(
+            cell.output.trace_hash,
+            golden,
+            "{}: attached observers changed the trace",
+            cell.key.label()
+        );
     }
     // Every simulated cell streamed a parseable, non-empty trace.
     let traces: Vec<_> = std::fs::read_dir(&dir)
@@ -758,17 +741,16 @@ fn contention_runs_match_pre_refactor_golden_hashes() {
             .memory(memory)
             .slowdown(slowdown)
             .build();
-        let cfg = SimConfig::new(cluster, sched);
-        for kind in [EventQueueKind::BinaryHeap, EventQueueKind::Calendar] {
-            let out = Simulation::new(cfg.with_event_queue(kind)).unwrap().run(&w);
-            assert_eq!(
-                out.trace_hash,
-                golden,
-                "{}+{slowdown:?} on {kind:?} diverged from the pre-refactor engine",
-                memory.name()
-            );
-            assert!(out.passes <= out.events_processed);
-        }
+        let out = Simulation::new(SimConfig::new(cluster, sched))
+            .unwrap()
+            .run(&w);
+        assert_eq!(
+            out.trace_hash,
+            golden,
+            "{}+{slowdown:?} diverged from the pre-refactor engine",
+            memory.name()
+        );
+        assert!(out.passes <= out.events_processed);
     }
 }
 
@@ -794,6 +776,15 @@ fn kernel_passes_are_sparse_on_the_smoke_grid() {
 
 // ------------------------------------------------- fault & availability
 
+/// The same grid with invariant checking after every event batch: it
+/// verifies, so it must never change a result.
+fn checked(spec: &ExperimentSpec) -> ExperimentSpec {
+    ExperimentSpec {
+        check_invariants: true,
+        ..spec.clone()
+    }
+}
+
 /// A representative active fault scenario for grid-level tests: node
 /// failures + drains + pool degradations, checkpoint/restart handling.
 fn stormy_faults() -> FaultSpec {
@@ -812,8 +803,8 @@ fn stormy_faults() -> FaultSpec {
 }
 
 /// Determinism under an active `FaultSpec`: identical per-cell traces for
-/// 1 vs N runner threads and for heap vs calendar event queues, with the
-/// fault counters agreeing too.
+/// 1 vs N runner threads and with invariant checking on, with the fault
+/// counters agreeing too. (The name predates the single event heap.)
 #[test]
 fn fault_grids_are_deterministic_across_threads_and_backends() {
     let spec = dmhpc::sim::ExperimentBuilder::from_spec(smoke_grid())
@@ -825,19 +816,18 @@ fn fault_grids_are_deterministic_across_threads_and_backends() {
     assert_eq!(spec.cell_count(), 2 * 8);
     let serial = ExperimentRunner::with_threads(1).run(&spec).unwrap();
     let parallel = ExperimentRunner::with_threads(8).run(&spec).unwrap();
-    let calendar = ExperimentRunner::with_threads(4)
-        .event_queue(EventQueueKind::Calendar)
-        .run(&spec)
+    let checked = ExperimentRunner::with_threads(4)
+        .run(&checked(&spec))
         .unwrap();
     let mut faulty_cells_bitten = 0;
     for ((a, b), c) in serial
         .cells()
         .iter()
         .zip(parallel.cells())
-        .zip(calendar.cells())
+        .zip(checked.cells())
     {
         assert_eq!(a.key, b.key, "grid order independent of threads");
-        assert_eq!(a.key, c.key, "grid order independent of backend");
+        assert_eq!(a.key, c.key, "grid order independent of checking");
         assert_eq!(
             a.output.trace_hash,
             b.output.trace_hash,
@@ -973,8 +963,8 @@ fn open_scenario() -> ServiceSpec {
         .with_slo_wait_secs(3_600.0)
 }
 
-/// The golden table with an *explicit* `ServiceSpec::none()` axis, on
-/// both event-queue backends: the service subsystem's identity scenario
+/// The golden table with an *explicit* `ServiceSpec::none()` axis: the
+/// service subsystem's identity scenario
 /// must be bit-identical to the pre-service engine — same traces, same
 /// pass counts, no service summary — so PR-2/3/4 result caches replay
 /// untouched.
@@ -985,25 +975,19 @@ fn smoke_grid_with_none_service_spec_matches_golden_hashes() {
         .build()
         .unwrap();
     assert_eq!(spec.cell_count(), SMOKE_GOLDEN_HASHES.len());
-    for kind in [EventQueueKind::BinaryHeap, EventQueueKind::Calendar] {
-        let results = ExperimentRunner::with_threads(1)
-            .event_queue(kind)
-            .run(&spec)
-            .unwrap();
-        for (cell, &golden) in results.cells().iter().zip(&SMOKE_GOLDEN_HASHES) {
-            assert_eq!(
-                cell.output.trace_hash,
-                golden,
-                "{} on {:?}: ServiceSpec::none() diverged from the closed-batch engine",
-                cell.key.label(),
-                kind
-            );
-            assert_eq!(cell.key.service, None, "identity scenario is unlabeled");
-            assert!(
-                cell.output.service.is_none(),
-                "closed cells carry no service summary"
-            );
-        }
+    let results = ExperimentRunner::with_threads(1).run(&spec).unwrap();
+    for (cell, &golden) in results.cells().iter().zip(&SMOKE_GOLDEN_HASHES) {
+        assert_eq!(
+            cell.output.trace_hash,
+            golden,
+            "{}: ServiceSpec::none() diverged from the closed-batch engine",
+            cell.key.label()
+        );
+        assert_eq!(cell.key.service, None, "identity scenario is unlabeled");
+        assert!(
+            cell.output.service.is_none(),
+            "closed cells carry no service summary"
+        );
     }
 }
 
@@ -1074,33 +1058,37 @@ fn service_spec_fields_move_cell_hashes_but_none_is_hash_neutral() {
     }
 }
 
-/// Determinism for open-system cells: identical per-cell traces and
-/// service summaries for 1 vs N runner threads and for heap vs calendar
-/// event queues, with closed baseline cells riding the same grid.
+/// Determinism for open-system cells, with and without a fault storm:
+/// identical per-cell traces, service summaries, and fault counters for
+/// 1 vs 4 runner threads and with invariant checking on, with closed
+/// baseline cells riding the same grid. (The name predates the single
+/// event heap.)
 #[test]
 fn service_grids_are_deterministic_across_threads_and_backends() {
     let spec = dmhpc::sim::ExperimentBuilder::from_spec(smoke_grid())
         .name("smoke-service-det")
         .service(ServiceSpec::none())
         .service(open_scenario())
+        .fault(FaultSpec::none())
+        .fault(stormy_faults())
         .build()
         .unwrap();
-    assert_eq!(spec.cell_count(), 2 * 8);
+    assert_eq!(spec.cell_count(), 4 * 8);
     let serial = ExperimentRunner::with_threads(1).run(&spec).unwrap();
-    let parallel = ExperimentRunner::with_threads(8).run(&spec).unwrap();
-    let calendar = ExperimentRunner::with_threads(4)
-        .event_queue(EventQueueKind::Calendar)
-        .run(&spec)
+    let parallel = ExperimentRunner::with_threads(4).run(&spec).unwrap();
+    let checked = ExperimentRunner::with_threads(4)
+        .run(&checked(&spec))
         .unwrap();
     let mut open_cells = 0;
+    let mut open_cells_bitten = 0;
     for ((a, b), c) in serial
         .cells()
         .iter()
         .zip(parallel.cells())
-        .zip(calendar.cells())
+        .zip(checked.cells())
     {
         assert_eq!(a.key, b.key, "grid order independent of threads");
-        assert_eq!(a.key, c.key, "grid order independent of backend");
+        assert_eq!(a.key, c.key, "grid order independent of checking");
         assert_eq!(
             a.output.trace_hash,
             b.output.trace_hash,
@@ -1115,21 +1103,28 @@ fn service_grids_are_deterministic_across_threads_and_backends() {
         );
         assert_eq!(a.output.service, b.output.service);
         assert_eq!(a.output.service, c.output.service);
+        assert_eq!(a.output.faults, b.output.faults);
+        assert_eq!(a.output.faults, c.output.faults);
         if a.key.service.is_some() {
             open_cells += 1;
             let svc = a.output.service.expect("open cells report a summary");
             assert!(svc.observed > 0, "{}", a.key.label());
+            assert_eq!(svc.observed + svc.warmup_skipped, 400, "{}", a.key.label());
             assert!(a.output.records.is_empty(), "sketch path keeps no records");
+            if a.key.fault.is_some() && a.output.faults.interruptions > 0 {
+                open_cells_bitten += 1;
+            }
         }
     }
-    assert_eq!(open_cells, 8, "half the grid streams");
+    assert_eq!(open_cells, 16, "half the grid streams");
+    assert!(open_cells_bitten > 0, "the storm interrupts open streams");
     // The service axis changes results: an open cell's trace differs from
     // its closed twin's.
     let twin = |service: Option<&str>| {
         serial
             .cells()
             .iter()
-            .find(|c| c.key.service.as_deref() == service)
+            .find(|c| c.key.service.as_deref() == service && c.key.fault.is_none())
             .unwrap()
     };
     assert_ne!(
@@ -1140,7 +1135,8 @@ fn service_grids_are_deterministic_across_threads_and_backends() {
 
 /// Pull-based admission is trace-identical to pre-loading the same
 /// stream as a closed batch: materialize the open source into a
-/// `Workload`, run it closed, and compare hashes with the open run.
+/// `Workload`, run it closed, and compare hashes with the open run. Both
+/// read their jobs through the engine's one arrival cursor.
 #[test]
 fn open_admission_matches_materialized_closed_batch() {
     use dmhpc::workload::source::JobSource as _;
@@ -1217,8 +1213,9 @@ fn service_cells_cache_and_replay_byte_identically() {
 }
 
 /// Fault cells participate in the content-addressed cache end to end: a
-/// faulty grid populates it cold, replays warm with byte-identical
-/// exports, and never collides with the fault-free twin cells.
+/// faulty grid — closed and open-stream cells alike — populates it cold,
+/// replays warm with byte-identical exports, and never collides with the
+/// fault-free twin cells.
 #[test]
 fn fault_cells_cache_and_replay_byte_identically() {
     let dir = std::env::temp_dir().join(format!("dmhpc-fault-cache-{}", std::process::id()));
@@ -1227,6 +1224,8 @@ fn fault_cells_cache_and_replay_byte_identically() {
         .name("smoke-faults-cache")
         .fault(FaultSpec::none())
         .fault(stormy_faults())
+        .service(ServiceSpec::none())
+        .service(open_scenario())
         .build()
         .unwrap();
     let cold = ExperimentRunner::with_threads(2)
@@ -1235,6 +1234,9 @@ fn fault_cells_cache_and_replay_byte_identically() {
         .run(&spec)
         .unwrap();
     assert_eq!(cold.stats().simulated, spec.cell_count());
+    assert!(cold.cells().iter().any(|c| c.key.service.is_some()
+        && c.key.fault.is_some()
+        && c.output.faults.interruptions > 0));
     let warm = ExperimentRunner::with_threads(2)
         .cache_dir(&dir)
         .unwrap()
@@ -1245,6 +1247,7 @@ fn fault_cells_cache_and_replay_byte_identically() {
     assert_eq!(warm.to_json(), cold.to_json());
     for (a, b) in warm.cells().iter().zip(cold.cells()) {
         assert_eq!(a.output.faults, b.output.faults, "summary round-trips");
+        assert_eq!(a.output.service, b.output.service, "summary round-trips");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -1345,21 +1348,18 @@ fn deadline_pricing_paths_match_golden_hashes() {
         ),
     ];
     for (name, sched, faults, golden, rejected, deferred, preempted) in cases {
-        for kind in [EventQueueKind::BinaryHeap, EventQueueKind::Calendar] {
-            let cfg = SimConfig::new(cluster, sched).with_event_queue(kind);
-            let mut tally = AdmissionTally::default();
-            let out = Simulation::new(cfg)
-                .unwrap()
-                .with_fault_spec(faults.clone())
-                .unwrap()
-                .run_with(&w, ObserverSet::new().watch(&mut tally));
-            assert_eq!(out.trace_hash, golden, "{name} on {kind:?}: trace hash");
-            assert_eq!(
-                (out.report.rejected, tally.deferred, tally.preempted),
-                (rejected, deferred, preempted),
-                "{name} on {kind:?}: rejected/deferred/preempted"
-            );
-            assert_eq!(out.preemptions, preempted as u64, "{name}: preemptions");
-        }
+        let mut tally = AdmissionTally::default();
+        let out = Simulation::new(SimConfig::new(cluster, sched))
+            .unwrap()
+            .with_fault_spec(faults)
+            .unwrap()
+            .run_with(&w, ObserverSet::new().watch(&mut tally));
+        assert_eq!(out.trace_hash, golden, "{name}: trace hash");
+        assert_eq!(
+            (out.report.rejected, tally.deferred, tally.preempted),
+            (rejected, deferred, preempted),
+            "{name}: rejected/deferred/preempted"
+        );
+        assert_eq!(out.preemptions, preempted as u64, "{name}: preemptions");
     }
 }

@@ -1,5 +1,5 @@
 //! The streaming observation API, end to end: observer determinism
-//! (byte-identical traces across thread counts and event-queue backends),
+//! (byte-identical traces across thread counts and arrival paths),
 //! hash-neutrality against the result cache, and the bounded-memory
 //! guarantee of the JSONL trace sink.
 
@@ -77,16 +77,24 @@ fn traces_are_byte_identical_across_thread_counts() {
     let _ = std::fs::remove_dir_all(&dir4);
 }
 
-/// Heap and calendar event queues stream byte-identical traces — under an
-/// active fault scenario too (the strongest event-ordering stressor).
+/// An open stream and the same jobs materialized as a closed batch
+/// stream byte-identical traces — under an active fault scenario too
+/// (the strongest event-ordering stressor). The name predates the single
+/// event heap; the arrival path is what can still differ between runs.
 #[test]
 fn traces_are_byte_identical_across_queue_backends() {
-    let w = SystemPreset::HighThroughput.synthetic_spec(250).generate(3);
+    use dmhpc::workload::source::JobSource as _;
     let cluster = ClusterSpec::new(2, 16, NodeSpec::new(32, 192 * 1024), per_rack(384));
+    let scenario = ServiceSpec::open(SystemPreset::HighThroughput)
+        .with_utilization(0.85)
+        .with_horizon_jobs(250)
+        .with_seed(3);
+    let mut src = scenario.open_source(&cluster).unwrap();
+    let w = Workload::from_jobs(std::iter::from_fn(|| src.next_job()).collect());
     let mut gen = FaultGenerator::quiet(11, 400_000);
-    gen.node_mtbf_s = 40_000;
+    gen.node_mtbf_s = 4_000;
     gen.node_repair_s = 10_000;
-    gen.drain_interval_s = 150_000;
+    gen.drain_interval_s = 15_000;
     gen.drain_duration_s = 20_000;
     let faults = FaultSpec::none()
         .with_generator(gen)
@@ -99,14 +107,19 @@ fn traces_are_byte_identical_across_queue_backends() {
             gamma: 1.0,
         })
         .build();
+    let closed = Simulation::new(SimConfig::new(cluster, sched))
+        .unwrap()
+        .with_fault_spec(faults.clone())
+        .unwrap();
+    let open = Simulation::new(SimConfig::new(cluster, sched))
+        .unwrap()
+        .with_fault_spec(faults)
+        .unwrap()
+        .with_service_spec(scenario)
+        .unwrap();
     let mut texts = Vec::new();
-    for kind in [EventQueueKind::BinaryHeap, EventQueueKind::Calendar] {
-        let path = tmp(&format!("backend-{}.jsonl", kind.name()));
-        let cfg = SimConfig::new(cluster, sched).with_event_queue(kind);
-        let sim = Simulation::new(cfg)
-            .unwrap()
-            .with_fault_spec(faults.clone())
-            .unwrap();
+    for (name, sim) in [("closed", &closed), ("open", &open)] {
+        let path = tmp(&format!("arrivals-{name}.jsonl"));
         let mut sink = TraceSink::create(&path).unwrap();
         let out = sim.run_with(&w, ObserverSet::new().watch(&mut sink));
         assert!(out.faults.interruptions > 0, "scenario actually bites");
@@ -114,7 +127,10 @@ fn traces_are_byte_identical_across_queue_backends() {
         texts.push(std::fs::read_to_string(&path).unwrap());
         let _ = std::fs::remove_file(&path);
     }
-    assert_eq!(texts[0], texts[1], "backends must stream identical traces");
+    assert_eq!(
+        texts[0], texts[1],
+        "arrival paths must stream identical traces"
+    );
 }
 
 /// The bounded-memory guarantee: a large run through a sink whose buffer

@@ -226,6 +226,76 @@ fn random_workload(rng: &mut Pcg64, max_jobs: usize, max_nodes: u32) -> Workload
     Workload::from_jobs(jobs)
 }
 
+/// [`random_workload`] on a coarse 100 s grid: arrivals and runtimes are
+/// whole multiples of 100 s, so undilated finishes land on arrival
+/// instants and seeded runs exercise same-instant ties.
+fn random_tied_workload(rng: &mut Pcg64, max_jobs: usize, max_nodes: u32) -> Workload {
+    let n = 1 + rng.index(max_jobs);
+    let jobs: Vec<Job> = (0..n)
+        .map(|i| {
+            let mut job = random_job(rng, i as u64, max_nodes);
+            let runtime = 100 * (1 + rng.bounded_u64(30));
+            job.arrival = SimTime::from_secs(100 * rng.bounded_u64(60));
+            job.runtime = SimDuration::from_secs(runtime);
+            job.walltime = SimDuration::from_secs(runtime * (1 + rng.bounded_u64(3)));
+            job
+        })
+        .collect();
+    Workload::from_jobs(jobs)
+}
+
+/// An open stream over a fixed job list.
+struct ListSource(std::vec::IntoIter<Job>);
+
+impl JobSource for ListSource {
+    fn next_job(&mut self) -> Option<Job> {
+        self.0.next()
+    }
+
+    fn size_hint(&self) -> Option<u64> {
+        Some(self.0.len() as u64)
+    }
+}
+
+/// The arrival path is invisible (invariant 7b): the same jobs run as a
+/// closed batch and pulled as an open stream give the same trace, event
+/// count and pass count — on workloads built so that arrivals tie with
+/// finishes scheduled earlier.
+#[test]
+fn closed_and_open_arrivals_agree_on_tied_workloads() {
+    let mut ties = 0;
+    for case in 0..32u64 {
+        let mut rng = Pcg64::new_stream(0x71E5, case);
+        let w = random_tied_workload(&mut rng, 60, 32);
+        let cluster = preset_cluster(
+            SystemPreset::HighThroughput,
+            PoolTopology::PerRack {
+                mib_per_rack: 512 * 1024,
+            },
+        );
+        let sched = SchedulerBuilder::new()
+            .memory(MemoryPolicy::PoolBestFit)
+            .slowdown(SlowdownModel::None)
+            .build();
+        let sim = Simulation::new(SimConfig::new(cluster, sched).checked()).unwrap();
+        let closed = sim.run(&w);
+        let open = sim.run_stream(Box::new(ListSource(w.jobs().to_vec().into_iter())));
+        assert_eq!(open.trace_hash, closed.trace_hash, "case {case}");
+        assert_eq!(
+            open.events_processed, closed.events_processed,
+            "case {case}"
+        );
+        assert_eq!(open.passes, closed.passes, "case {case}");
+        let arrivals: std::collections::BTreeSet<SimTime> = w.iter().map(|j| j.arrival).collect();
+        ties += closed
+            .records
+            .iter()
+            .filter(|r| r.finish.is_some_and(|f| arrivals.contains(&f)))
+            .count();
+    }
+    assert!(ties > 0, "the 100 s grid must produce same-instant ties");
+}
+
 /// Invariants 3 & 6 end to end on random workloads: causality holds, every
 /// job is accounted for, completed jobs consume exactly their work, and the
 /// cluster ends empty (checked mode panics otherwise).
