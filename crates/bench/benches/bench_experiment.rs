@@ -546,37 +546,10 @@ fn bench_engine_admission(c: &mut Criterion) {
     group.finish();
 }
 
-/// Append one extra line to the `BENCH_JSON` results file in the same
-/// shape the criterion shim emits, so `bench_gate` can read host facts
-/// (like available parallelism) next to the timings.
-fn emit_bench_entry(name: &str, value: f64) {
-    let Ok(path) = std::env::var("BENCH_JSON") else {
-        return;
-    };
-    if path.is_empty() {
-        return;
-    }
-    let line = format!("{{\"name\": \"{name}\", \"mean_ns\": {value:.3}, \"std_ns\": 0.000}}\n");
-    let written = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut f| std::io::Write::write_all(&mut f, line.as_bytes()));
-    if let Err(e) = written {
-        eprintln!("bench_experiment: cannot append to BENCH_JSON: {e}");
-    }
-}
-
 fn bench_engine_scale(c: &mut Criterion) {
-    // Federation scaling: the same 4-site fleet advanced by one worker
-    // (`serial`) and by one worker per site (`threaded`), in conservative
-    // lockstep epochs either way. Worker count is purely an execution
-    // knob — the aggregates are byte-identical (asserted below) — so the
-    // threaded/serial time ratio isolates the within-run parallelism win.
-    // `bench_gate` bounds that ratio (`fleet_scale_ratio`) on multi-core
-    // CI runners and skips the gate on single-core hosts, where lockstep
-    // threading cannot beat serial; the `engine_scale/parallelism`
-    // pseudo-entry emitted here is how the gate learns which case it is.
+    // Fleet-barrier throughput: a 4-site fleet advanced in conservative
+    // lockstep epochs, so the routing, snapshot and barrier layer is
+    // timed on top of four site kernels.
     const SCALE_JOBS: usize = 4_000;
     let workload = SystemPreset::HighThroughput
         .synthetic_spec(SCALE_JOBS)
@@ -596,45 +569,21 @@ fn bench_engine_scale(c: &mut Criterion) {
         .build();
     let cfg = SimConfig::new(cluster, sched);
     let fleet = FleetSpec::symmetric(4, 300.0, MetaPolicyKind::LeastQueueDepth);
-    let serial = FleetSimulation::new(&fleet, cfg)
-        .expect("valid fleet")
-        .workers(1);
-    let threaded = FleetSimulation::new(&fleet, cfg)
-        .expect("valid fleet")
-        .workers(4);
+    let fleet_sim = FleetSimulation::new(&fleet, cfg).expect("valid fleet");
 
-    // One reference run per arm: worker count must be invisible in the
-    // results, or the two arms time different computations.
-    let ref_serial = serial.run(&workload);
-    let ref_threaded = threaded.run(&workload);
-    assert_eq!(
-        ref_serial.aggregate.trace_hash, ref_threaded.aggregate.trace_hash,
-        "worker count must not change fleet results"
-    );
-    assert_eq!(
-        ref_serial.routed_jobs.iter().sum::<u64>(),
-        SCALE_JOBS as u64
-    );
-
-    let parallelism = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    emit_bench_entry("engine_scale/parallelism", parallelism as f64);
+    let reference = fleet_sim.run(&workload);
+    assert_eq!(reference.routed_jobs.iter().sum::<u64>(), SCALE_JOBS as u64);
     eprintln!(
-        "engine_scale: {} jobs over {} sites, routed {:?}, host parallelism {}",
+        "engine_scale: {} jobs over {} sites, routed {:?}",
         SCALE_JOBS,
-        ref_serial.site_outputs.len(),
-        ref_serial.routed_jobs,
-        parallelism
+        reference.site_outputs.len(),
+        reference.routed_jobs
     );
 
     let mut group = c.benchmark_group("engine_scale");
     group.sample_size(10);
     group.throughput(Throughput::Elements(SCALE_JOBS as u64));
-    group.bench_function("serial", |b| b.iter(|| black_box(serial.run(&workload))));
-    group.bench_function("threaded", |b| {
-        b.iter(|| black_box(threaded.run(&workload)))
-    });
+    group.bench_function("serial", |b| b.iter(|| black_box(fleet_sim.run(&workload))));
     group.finish();
 }
 

@@ -37,15 +37,7 @@
 //!   the full deadline stack — laxity-aware placement plus infeasibility
 //!   rejection (`engine_admission/guarded`) — over plain EDF on the same
 //!   stamps (`engine_admission/edf`), bounding what the per-admission
-//!   feasibility probe and the laxity-priced placement scan may cost;
-//! * **federation scaling** — the 4-site fleet advanced by one worker
-//!   per site (`engine_scale/threaded`) over the same fleet on a single
-//!   worker (`engine_scale/serial`). The arms are byte-identical, so
-//!   this gate bounds a *speedup*: threaded must stay at or below the
-//!   `fleet_scale_ratio` baseline (0.7× serial) on multi-core runners.
-//!   On hosts where the `engine_scale/parallelism` pseudo-entry reports
-//!   fewer than 2 cores the gate is skipped with a printed note —
-//!   lockstep threading cannot beat serial without cores to run on.
+//!   feasibility probe and the laxity-priced placement scan may cost.
 //!
 //! Ratios, not absolute times: CI machines vary wildly in speed, but cost
 //! relative to a same-machine reference is a property of the code. Exits
@@ -72,9 +64,6 @@ const DEADLINE_EDF_BENCH: &str = "engine_deadline/edf";
 const DEADLINE_FCFS_BENCH: &str = "engine_deadline/fcfs";
 const ADMISSION_GUARDED_BENCH: &str = "engine_admission/guarded";
 const ADMISSION_EDF_BENCH: &str = "engine_admission/edf";
-const SCALE_THREADED_BENCH: &str = "engine_scale/threaded";
-const SCALE_SERIAL_BENCH: &str = "engine_scale/serial";
-const SCALE_PARALLELISM: &str = "engine_scale/parallelism";
 
 fn mean_of(lines: &str, bench: &str) -> Result<f64, String> {
     // Last occurrence wins: re-runs append.
@@ -203,28 +192,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         baseline.expect_key("admission_vs_edf_ratio")?.to_f64()?,
         max_regression,
     )?;
-    // The federation gate bounds a speedup, so it only means anything on
-    // a host with cores to parallelize over: the bench records the
-    // machine's parallelism next to its timings, and on a single-core
-    // runner the gate is skipped — loudly, so CI logs show the skip.
-    let parallelism = mean_of(&results, SCALE_PARALLELISM)?;
-    if parallelism < 2.0 {
-        println!(
-            "federation scaling: SKIPPED (host parallelism {parallelism:.0} < 2 — \
-             lockstep threading cannot beat serial without cores; the ratio \
-             is gated on multi-core CI runners)"
-        );
-    } else {
-        gate(
-            "federation scaling",
-            SCALE_THREADED_BENCH,
-            SCALE_SERIAL_BENCH,
-            mean_of(&results, SCALE_THREADED_BENCH)?,
-            mean_of(&results, SCALE_SERIAL_BENCH)?,
-            baseline.expect_key("fleet_scale_ratio")?.to_f64()?,
-            max_regression,
-        )?;
-    }
     println!("bench gate OK");
     Ok(())
 }

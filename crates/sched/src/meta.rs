@@ -6,8 +6,7 @@
 //! barrier, asks a [`MetaPolicy`] where every job that arrived during
 //! the epoch should run. The policy sees only [`SiteSnapshot`]s — plain
 //! observations taken at the barrier — so routing is a pure function of
-//! the spec and seed regardless of how many worker threads advance the
-//! sites.
+//! the spec and seed.
 //!
 //! Built-ins cover the three natural families from the federation
 //! literature: blind load spreading ([`MetaPolicyKind::RoundRobin`]),

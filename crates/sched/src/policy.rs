@@ -725,7 +725,8 @@ fn split_into(cluster: &Cluster, assignment: &MemoryAssignment, split: &mut Vec<
 }
 
 /// The buffers a backfill pass works in, kept per thread between passes
-/// (engines are thread-confined, so each fleet worker has its own).
+/// (each pass rebuilds them before reading, so fleet sites advanced on
+/// one thread share them safely).
 #[derive(Debug)]
 struct PassScratch {
     /// The availability profile, rebuilt in place each pass.

@@ -1730,7 +1730,7 @@ impl<'a> SiteEngine<'a> {
     }
 
     /// Observe the site for the meta-scheduler, tagged with its fleet
-    /// index. Pure data — snapshots cross the worker channel by value.
+    /// index.
     pub(crate) fn snapshot(&self, site: usize) -> SiteSnapshot {
         let mem_capacity = self.cfg.cluster.total_local_mem() + self.cfg.cluster.total_pool_mem();
         let total_mem = mem_capacity as f64;
