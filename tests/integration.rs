@@ -1254,18 +1254,27 @@ fn fault_cells_cache_and_replay_byte_identically() {
 
 // ------------------------------------------------------ deadline pricing
 
-/// Counts admission deferrals and preemptions by event.
+/// Counts admission deferrals and preemptions by event, and fault
+/// interruptions of jobs that an earlier preemption had checkpointed.
 #[derive(Default)]
 struct AdmissionTally {
     deferred: usize,
     preempted: usize,
+    preempted_ids: std::collections::BTreeSet<JobId>,
+    interrupted_after_preempt: usize,
 }
 
 impl Observer for AdmissionTally {
     fn on_event(&mut self, ev: &SimEvent) {
         match ev {
             SimEvent::JobDeferred { .. } => self.deferred += 1,
-            SimEvent::JobPreempted { .. } => self.preempted += 1,
+            SimEvent::JobPreempted { job, .. } => {
+                self.preempted += 1;
+                self.preempted_ids.insert(*job);
+            }
+            SimEvent::JobInterrupted { job, .. } if self.preempted_ids.contains(job) => {
+                self.interrupted_after_preempt += 1;
+            }
             _ => {}
         }
     }
@@ -1277,9 +1286,12 @@ impl Observer for AdmissionTally {
 /// on 2×16 nodes with 384 GiB rack pools under EDF + laxity-aware
 /// placement, no backfill. `RejectInfeasible` under the fault storm prices
 /// jobs on a degraded machine; `DeferUntilFeasible` runs clean and under
-/// the storm; `LaxityCheckpoint` drives the preemption scan. Captured
-/// before admission pricing was memoized per queued job; the reject,
-/// defer and preempt counts pin that every branch actually runs.
+/// the storm; `LaxityCheckpoint` drives the preemption scan, clean and
+/// under the storm, where faults later interrupt checkpointed victims.
+/// Captured before admission pricing was memoized per queued job
+/// (`preempt+storm` before running jobs kept one finish-stamp counter);
+/// the reject, defer, preempt and re-interrupt counts pin that every
+/// branch actually runs.
 #[test]
 fn deadline_pricing_paths_match_golden_hashes() {
     let mut spec = SystemPreset::HighThroughput.synthetic_spec(300);
@@ -1308,7 +1320,8 @@ fn deadline_pricing_paths_match_golden_hashes() {
         PreemptPolicy::LaxityCheckpoint { overhead_s: 60 },
     );
     let reject = stack(AdmissionPolicy::RejectInfeasible, PreemptPolicy::Never);
-    // (name, scheduler, faults, trace hash, rejected, deferred, preempted)
+    // (name, scheduler, faults, trace hash, rejected, deferred, preempted,
+    //  preempted jobs later interrupted by a fault)
     let cases = [
         (
             "reject+storm",
@@ -1316,6 +1329,7 @@ fn deadline_pricing_paths_match_golden_hashes() {
             stormy_faults(),
             0x24042245c5afe650u64,
             10,
+            0,
             0,
             0,
         ),
@@ -1327,6 +1341,7 @@ fn deadline_pricing_paths_match_golden_hashes() {
             10,
             146,
             0,
+            0,
         ),
         (
             "defer+storm",
@@ -1335,6 +1350,7 @@ fn deadline_pricing_paths_match_golden_hashes() {
             0xd32b1f97b0318c15,
             10,
             198,
+            0,
             0,
         ),
         (
@@ -1345,9 +1361,20 @@ fn deadline_pricing_paths_match_golden_hashes() {
             1,
             0,
             60,
+            0,
+        ),
+        (
+            "preempt+storm",
+            preempt,
+            stormy_faults(),
+            0x434327afbd1e0965,
+            2,
+            0,
+            91,
+            11,
         ),
     ];
-    for (name, sched, faults, golden, rejected, deferred, preempted) in cases {
+    for (name, sched, faults, golden, rejected, deferred, preempted, re_interrupted) in cases {
         let mut tally = AdmissionTally::default();
         let out = Simulation::new(SimConfig::new(cluster, sched))
             .unwrap()
@@ -1361,5 +1388,9 @@ fn deadline_pricing_paths_match_golden_hashes() {
             "{name}: rejected/deferred/preempted"
         );
         assert_eq!(out.preemptions, preempted as u64, "{name}: preemptions");
+        assert_eq!(
+            tally.interrupted_after_preempt, re_interrupted,
+            "{name}: preempted jobs later interrupted"
+        );
     }
 }
