@@ -121,7 +121,8 @@ impl MemoryPool {
 
     /// `(lease, MiB held)` pairs in ascending lease order — the
     /// deterministic order the engine evicts borrowers in when a
-    /// degradation leaves the pool over-committed.
+    /// degradation leaves the pool over-committed, and re-dilates them in
+    /// when the pool's pressure changes.
     pub fn holders(&self) -> impl Iterator<Item = (u64, MiB)> + '_ {
         self.ledger.iter().map(|(&l, &m)| (l, m))
     }

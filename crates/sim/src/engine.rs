@@ -27,17 +27,21 @@
 //!   rebuilt from the running set — the pass's fixed cost no longer scales
 //!   with how much is running.
 //! * **Pool-scoped re-dilation.** Under the contention slowdown model the
-//!   engine keeps a per-pool borrower index plus a dirty-pool set (marked
-//!   when an allocation or release changes a pool's occupancy). Re-dilation
-//!   visits only borrowers charged to pools whose pressure actually
-//!   changed; everyone else's dilation inputs are unchanged by
-//!   construction, so skipping them is trace-exact. Re-stamped finishes
-//!   supersede the old event via a generation stamp.
+//!   engine marks a pool dirty whenever an allocation, a release, or a
+//!   pool fault changes its pressure. Re-dilation visits only the jobs
+//!   holding memory in dirty pools — the union of those pools' lease
+//!   ledgers ([`dmhpc_platform::MemoryPool::holders`]), in ascending
+//!   lease order — because everyone else's dilation inputs are unchanged
+//!   by construction. A job whose dilation moved gets a new finish
+//!   event; each running job remembers the stamp of its one live finish,
+//!   so every superseded finish is stale on arrival.
 //!
-//! Determinism is unchanged: dirty-pool iteration and the borrower sets
-//! are ordered (`BTreeSet`), so the kernel reproduces the pre-incremental
-//! engine's trace hashes bit-for-bit (tested against golden hashes in
-//! `tests/integration.rs`). Work accounting is exact: a completed job's
+//! The engine keeps each fact once: which jobs borrow from which pool,
+//! and which assignment each running job holds, live only in the
+//! [`Cluster`]. Checked mode (`SimConfig::check_invariants`) recomputes
+//! every running job's dilation from current pool pressure after each
+//! batch and asserts that the running set, the release index and the
+//! cluster's leases agree. Work accounting is exact: a completed job's
 //! consumed work equals its base runtime by construction.
 //!
 //! ## Observation
@@ -62,8 +66,8 @@
 //! terminally failed once their resubmission budget is spent), so by
 //! every batch end no job occupies a non-`Up` node and no pool is over
 //! its degraded capacity — both checked in `check_invariants` mode.
-//! Restarted jobs resume at a generation above every earlier attempt's,
-//! so stale finish events stay stale. With [`FaultSpec::none`] (the
+//! A restarted job's finish event carries a fresh stamp, so the aborted
+//! attempt's finish stays stale. With [`FaultSpec::none`] (the
 //! default) no fault event exists and every fault branch is dead: traces
 //! are bit-identical to the pre-fault engine (golden-hash tested).
 
@@ -81,7 +85,7 @@ use dmhpc_des::time::{SimDuration, SimTime};
 use dmhpc_metrics::{
     ClassThresholds, FaultSummary, JobOutcome, JobRecord, RunData, ServiceSummary, SimReport,
 };
-use dmhpc_platform::{Cluster, DilationInputs, MemoryAssignment, NodeState};
+use dmhpc_platform::{Cluster, DilationInputs, MemoryAssignment, NodeState, SlowdownModel};
 use dmhpc_sched::{
     DeadlinePrice, PreemptPolicy, ReleaseIndex, RunningRelease, SchedContext, Scheduler,
     SiteSnapshot, StartedJob, WaitQueue,
@@ -95,8 +99,11 @@ use std::sync::Arc;
 /// engine's [`Arrivals`] cursor.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Event {
-    /// A running job reached its (possibly superseded) end time.
-    Finish { job: JobId, generation: u32 },
+    /// A running job reached its (possibly superseded) end time. `stamp`
+    /// is the event's heap insertion sequence: only the job's latest
+    /// finish matches [`RunningJob::stamp`], so a finish superseded by
+    /// re-dilation or left over from an aborted attempt is stale.
+    Finish { job: JobId, stamp: u64 },
     /// A machine perturbation from the run's [`FaultSpec`] (never
     /// scheduled on fault-free runs, which keep the exact pre-fault code
     /// path).
@@ -109,23 +116,12 @@ pub(crate) enum Event {
     Wake,
 }
 
-/// Per-job fault bookkeeping, kept only for jobs that were interrupted.
-#[derive(Debug, Clone, Copy, Default)]
-struct FaultMeta {
-    /// Resubmissions consumed so far.
-    resubmits: u32,
-    /// Generation the job's *next* start begins at — strictly above every
-    /// generation of earlier attempts, so stale finish events from an
-    /// interrupted attempt can never match a later one.
-    next_gen: u32,
-}
-
-/// Execution state of a running job.
+/// Execution state of a running job. Its assignment lives in the
+/// cluster's lease table, under the job's id.
 #[derive(Debug, Clone)]
 struct RunningJob {
     job: Job,
     start: SimTime,
-    assignment: MemoryAssignment,
     kill_time: SimTime,
     dilation_planned: f64,
     /// Current dilation factor (changes only under the contention model).
@@ -133,10 +129,82 @@ struct RunningJob {
     /// Undilated work left, exact as of `last_update`.
     work_remaining: SimDuration,
     last_update: SimTime,
-    /// Valid finish-event stamp; older events are stale.
-    generation: u32,
+    /// Stamp of the job's live finish event; every other finish is stale.
+    stamp: u64,
     /// Whether the currently-scheduled finish is a walltime kill.
     ends_by_kill: bool,
+}
+
+impl RunningJob {
+    /// Charge the work consumed at the current rate since `last_update`.
+    fn settle(&mut self, now: SimTime) {
+        let consumed = (now - self.last_update).scale(1.0 / self.dilation);
+        self.work_remaining = self.work_remaining.saturating_sub(consumed);
+        self.last_update = now;
+    }
+
+    /// The final record of an attempt that stopped at `now` on
+    /// `assignment`. A completed job consumed exactly its runtime; a
+    /// killed or failed one what it settled.
+    fn into_record(
+        self,
+        assignment: &MemoryAssignment,
+        outcome: JobOutcome,
+        now: SimTime,
+    ) -> JobRecord {
+        let consumed = if outcome == JobOutcome::Completed {
+            self.job.runtime
+        } else {
+            self.job.runtime.saturating_sub(self.work_remaining)
+        };
+        let dilation_actual = if consumed.is_zero() {
+            self.dilation
+        } else {
+            (now - self.start).ratio(consumed)
+        };
+        JobRecord {
+            nodes_allocated: assignment.node_count() as u32,
+            remote_per_node: assignment.remote_per_node,
+            job: self.job,
+            outcome,
+            start: Some(self.start),
+            finish: Some(now),
+            dilation_planned: self.dilation_planned,
+            dilation_actual,
+        }
+    }
+}
+
+/// Schedule `job`'s finish at `at`; returns the event's stamp, its heap
+/// insertion sequence, which no other event shares.
+fn schedule_finish(events: &mut BinaryHeapQueue<Event>, job: JobId, at: SimTime) -> u64 {
+    let stamp = events.scheduled_count();
+    events.schedule(at, Event::Finish { job, stamp });
+    stamp
+}
+
+/// A job's dilation under `model` at the cluster's current pool
+/// pressure: the highest pressure among the pool domains its nodes
+/// charge (none for a job that borrows nothing).
+fn current_dilation(
+    cluster: &Cluster,
+    model: &SlowdownModel,
+    assignment: &MemoryAssignment,
+    intensity: f64,
+) -> f64 {
+    let mut pool_pressure = 0.0f64;
+    if assignment.remote_per_node > 0 {
+        for &node in &assignment.nodes {
+            if let Some(pool) = cluster.pool_of(node) {
+                pool_pressure = pool_pressure.max(cluster.pool(pool).pressure());
+            }
+        }
+    }
+    model.dilation(DilationInputs {
+        far_fraction: assignment.far_fraction(),
+        intensity,
+        pool_pressure,
+    })
 }
 
 /// Everything a run produces.
@@ -449,19 +517,7 @@ impl Simulation {
     /// Run the engine over one arrival cursor. Infallible: every input
     /// was validated when the simulator was built.
     fn simulate(&self, arrivals: Arrivals<'_>, extras: &mut [&mut dyn Observer]) -> SimOutput {
-        // Expanding the scenario is a pure function of (spec, machine);
-        // FaultSpec::none() yields an empty list and the pre-fault path.
-        let fault_events = self.faults.materialize(&self.cfg.cluster);
-        let mut engine = Engine::new(
-            &self.cfg,
-            &self.scheduler,
-            &self.faults,
-            &self.service,
-            arrivals,
-            &fault_events,
-            extras,
-            None,
-        );
+        let mut engine = Engine::new(self, arrivals, extras, None);
         engine.drive();
         engine.finalize()
     }
@@ -544,9 +600,8 @@ struct Builtins {
 }
 
 pub(crate) struct Engine<'a, 'o> {
-    cfg: &'a SimConfig,
-    scheduler: &'a Scheduler,
-    faults: &'a FaultSpec,
+    /// The configuration, scheduler and scenarios this run executes.
+    sim: &'a Simulation,
     /// Where jobs come from: the run's only arrival path.
     arrivals: Arrivals<'a>,
     /// Whether this run has any fault events at all: false keeps every
@@ -561,10 +616,8 @@ pub(crate) struct Engine<'a, 'o> {
     /// Planned releases of running jobs, sorted by planned end — handed to
     /// every pass as a view instead of being rebuilt per pass.
     releases: ReleaseIndex,
-    /// Per-pool-domain borrower sets (job ids charged to the pool).
-    /// Maintained only under dynamic slowdown models; empty otherwise.
-    borrowers: Vec<BTreeSet<JobId>>,
-    /// Pools whose occupancy changed since the last re-dilation.
+    /// Pools whose pressure changed since the last re-dilation (marked
+    /// only under dynamic slowdown models).
     dirty_pools: Vec<bool>,
     any_dirty: bool,
     /// Cached `slowdown.is_dynamic()`: whether re-dilation applies at all.
@@ -580,8 +633,9 @@ pub(crate) struct Engine<'a, 'o> {
     events_processed: u64,
     passes: u64,
     trace_hash: u64,
-    /// Fault bookkeeping for interrupted jobs (empty on fault-free runs).
-    fault_meta: BTreeMap<JobId, FaultMeta>,
+    /// Resubmissions consumed per interrupted job, until the job ends
+    /// (empty on fault-free runs).
+    resubmits: BTreeMap<JobId, u32>,
     /// Time of the last job-affecting event (arrival, finish, interrupt,
     /// start, rejection). Fault runs clamp every time-based metric to
     /// this instant: repair/drain-end events trailing the last job must
@@ -593,9 +647,9 @@ pub(crate) struct Engine<'a, 'o> {
     next_wake: Option<SimTime>,
     /// Jobs checkpoint-preempted for deadline-critical arrivals.
     preemptions: u64,
-    /// Jobs currently deferred by `DeferUntilFeasible` admission — the
-    /// set makes the `JobDeferred` observation fire once per job, not
-    /// once per pass.
+    /// Jobs deferred by `DeferUntilFeasible` admission that have not ended
+    /// yet — the set makes the `JobDeferred` observation fire once per
+    /// job, not once per pass.
     deferred: BTreeSet<JobId>,
 }
 
@@ -603,17 +657,16 @@ pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 impl<'a, 'o> Engine<'a, 'o> {
-    #[allow(clippy::too_many_arguments)]
     fn new(
-        cfg: &'a SimConfig,
-        scheduler: &'a Scheduler,
-        faults: &'a FaultSpec,
-        service: &ServiceSpec,
+        sim: &'a Simulation,
         arrivals: Arrivals<'a>,
-        fault_events: &[(SimTime, FaultAction)],
         extras: &'a mut [&'o mut dyn Observer],
         origin: Option<SimTime>,
     ) -> Self {
+        let cfg = &sim.cfg;
+        // Expanding the scenario is a pure function of (spec, machine);
+        // FaultSpec::none() yields an empty list and the pre-fault path.
+        let fault_events = sim.faults.materialize(&cfg.cluster);
         let cluster = Cluster::new(cfg.cluster);
         let open = matches!(arrivals, Arrivals::Stream { .. });
         // Federated site engines start empty and receive jobs by
@@ -630,7 +683,7 @@ impl<'a, 'o> Engine<'a, 'o> {
         }
         let jobs_hint = arrivals.remaining();
         let mut events = BinaryHeapQueue::with_capacity(fault_events.len() + 64);
-        for &(at, action) in fault_events {
+        for &(at, action) in &fault_events {
             events.schedule(at, Event::Fault(action));
         }
         let domains = cluster.pools().len();
@@ -641,7 +694,6 @@ impl<'a, 'o> Engine<'a, 'o> {
             events,
             running: BTreeMap::new(),
             releases: ReleaseIndex::new(),
-            borrowers: vec![BTreeSet::new(); domains],
             dirty_pools: vec![false; domains],
             any_dirty: false,
             dynamic: cfg.scheduler.slowdown.is_dynamic(),
@@ -652,8 +704,8 @@ impl<'a, 'o> Engine<'a, 'o> {
                     SketchStatsObserver::new(
                         start_time,
                         &cfg.cluster,
-                        service.warmup_s,
-                        service.slo_wait_s,
+                        sim.service.warmup_s,
+                        sim.service.slo_wait_s,
                     )
                 }),
                 faults: FaultObserver::new(start_time, in_service),
@@ -665,22 +717,20 @@ impl<'a, 'o> Engine<'a, 'o> {
             events_processed: 0,
             passes: 0,
             trace_hash: FNV_OFFSET,
-            fault_meta: BTreeMap::new(),
+            resubmits: BTreeMap::new(),
             last_job_time: start_time,
             next_wake: None,
             preemptions: 0,
             deferred: BTreeSet::new(),
-            cfg,
-            scheduler,
-            faults,
+            sim,
             cluster,
         };
         let ctx = RunContext {
             start: start_time,
-            cluster: engine.cfg.cluster,
+            cluster: cfg.cluster,
             jobs: jobs_hint,
             in_service_nodes: in_service,
-            label: engine.scheduler.label(),
+            label: sim.scheduler.label(),
         };
         for o in engine.extras.iter_mut() {
             o.on_run_start(&ctx);
@@ -765,6 +815,7 @@ impl<'a, 'o> Engine<'a, 'o> {
                             // drain.
                             let entry = self.queue.pop_front();
                             self.hash_mix([13, self.now.as_micros(), entry.job.id.0]);
+                            self.retire(entry.job.id);
                             self.emit(SimEvent::JobFailed {
                                 at: self.now,
                                 record: JobRecord::failed_unstarted(entry.job),
@@ -792,8 +843,9 @@ impl<'a, 'o> Engine<'a, 'o> {
                 changed = true;
             }
             while self.events.peek_time() == Some(self.now) {
-                // lint: allow(panic) — the surrounding branch peeked this event
-                let (_, ev) = self.events.pop().expect("peeked");
+                let Some((_, ev)) = self.events.pop() else {
+                    break;
+                };
                 changed |= self.process(ev);
             }
             if changed {
@@ -821,12 +873,8 @@ impl<'a, 'o> Engine<'a, 'o> {
     /// Process one event; returns whether system state changed.
     fn process(&mut self, ev: Event) -> bool {
         match ev {
-            Event::Finish { job, generation } => {
-                let stale = self
-                    .running
-                    .get(&job)
-                    .map(|r| r.generation != generation)
-                    .unwrap_or(true);
+            Event::Finish { job, stamp } => {
+                let stale = self.running.get(&job).is_none_or(|r| r.stamp != stamp);
                 if stale {
                     return false;
                 }
@@ -955,7 +1003,7 @@ impl<'a, 'o> Engine<'a, 'o> {
     }
 
     /// Mark a pool's pressure as changed (degradation moves pressure even
-    /// when occupancy is untouched), so re-dilation revisits its borrowers.
+    /// when occupancy is untouched), so re-dilation revisits its holders.
     fn mark_pool_dirty(&mut self, pool: dmhpc_platform::PoolId) {
         if self.dynamic {
             self.dirty_pools[pool.0 as usize] = true;
@@ -963,20 +1011,32 @@ impl<'a, 'o> Engine<'a, 'o> {
         }
     }
 
-    /// Interrupt a running job (fault displaced its capacity): release
-    /// everything it holds, then resubmit it per the scenario's
-    /// [`InterruptPolicy`] — or fail it terminally once its resubmission
-    /// budget is spent.
-    fn interrupt_job(&mut self, id: JobId) {
-        self.last_job_time = self.now;
-        // lint: allow(panic) — interrupts are generated from the running set itself
-        let mut r = self.running.remove(&id).expect("interrupt of unknown job");
-        // Settle work consumed at the current rate up to the interruption.
-        let elapsed = self.now - r.last_update;
-        let consumed_now = elapsed.scale(1.0 / r.dilation);
-        r.work_remaining = r.work_remaining.saturating_sub(consumed_now);
+    /// Mark dirty every pool a job's release record charges
+    /// (`pool_per_domain` is exactly the pools its nodes borrow from).
+    fn mark_charged_pools_dirty(&mut self, pool_per_domain: &[u64]) {
+        if !self.dynamic {
+            return;
+        }
+        for (dirty, &amount) in self.dirty_pools.iter_mut().zip(pool_per_domain) {
+            if amount > 0 {
+                *dirty = true;
+                self.any_dirty = true;
+            }
+        }
+    }
 
-        self.cluster
+    /// Stop a running job at the current instant: settle its work, release
+    /// its lease and release-index entry, mark its pools dirty, announce
+    /// the freed allocation, and mix `tag` into the trace hash. Finishes
+    /// (tag 2), fault interruptions (11) and preemptions (15) all stop a
+    /// job here; the caller decides what becomes of it.
+    fn stop(&mut self, id: JobId, tag: u64) -> (RunningJob, MemoryAssignment) {
+        self.last_job_time = self.now;
+        // lint: allow(panic) — finishes are checked against the running set, and interrupts and preemption victims are drawn from it
+        let mut r = self.running.remove(&id).expect("stopped job is running");
+        r.settle(self.now);
+        let assignment = self
+            .cluster
             .release(id.as_u64())
             // lint: allow(panic) — every started job allocated a lease; missing one is an engine bug
             .expect("running job holds a lease");
@@ -985,21 +1045,35 @@ impl<'a, 'o> Engine<'a, 'o> {
             .remove(id.as_u64())
             // lint: allow(panic) — every started job is registered in the release index
             .expect("running job is release-indexed");
-        self.note_pool_change(id, &release.pool_per_domain, false);
+        self.mark_charged_pools_dirty(&release.pool_per_domain);
         self.emit(SimEvent::AllocationReleased {
             at: self.now,
             job: id,
-            nodes: r.assignment.node_count() as u32,
-            local_mib: r.assignment.local_per_node * r.assignment.node_count() as u64,
-            remote_mib: r.assignment.total_remote(),
+            nodes: assignment.node_count() as u32,
+            local_mib: assignment.local_per_node * assignment.node_count() as u64,
+            remote_mib: assignment.total_remote(),
         });
-        self.hash_mix([11, self.now.as_micros(), id.0]);
+        self.hash_mix([tag, self.now.as_micros(), id.0]);
+        (r, assignment)
+    }
 
-        let meta = self.fault_meta.entry(id).or_default();
-        meta.next_gen = r.generation + 1;
+    /// Forget a job's per-job bookkeeping at its terminal event (finished,
+    /// killed, failed or rejected), so open runs keep O(1) memory in the
+    /// number of jobs they serve.
+    fn retire(&mut self, id: JobId) {
+        self.deferred.remove(&id);
+        self.resubmits.remove(&id);
+    }
+
+    /// Interrupt a running job (fault displaced its capacity): release
+    /// everything it holds, then resubmit it per the scenario's
+    /// [`InterruptPolicy`] — or fail it terminally once its resubmission
+    /// budget is spent.
+    fn interrupt_job(&mut self, id: JobId) {
+        let (r, assignment) = self.stop(id, 11);
         let attempt_wall = self.now - r.start;
-
-        if meta.resubmits >= self.faults.max_resubmits {
+        let resubmits = self.resubmits.entry(id).or_default();
+        if *resubmits >= self.sim.faults.max_resubmits {
             // Terminal failure: record the final attempt. The aborted
             // attempt's wall clock is rework.
             self.emit(SimEvent::JobInterrupted {
@@ -1009,29 +1083,16 @@ impl<'a, 'o> Engine<'a, 'o> {
                 resubmitted: false,
             });
             self.hash_mix([12, self.now.as_micros(), id.0]);
-            let consumed_total = r.job.runtime.saturating_sub(r.work_remaining);
-            let dilation_actual = if consumed_total.is_zero() {
-                r.dilation
-            } else {
-                attempt_wall.ratio(consumed_total)
-            };
+            self.retire(id);
+            let record = r.into_record(&assignment, JobOutcome::Failed, self.now);
             self.emit(SimEvent::JobFailed {
                 at: self.now,
-                record: JobRecord {
-                    nodes_allocated: r.assignment.node_count() as u32,
-                    remote_per_node: r.assignment.remote_per_node,
-                    job: r.job,
-                    outcome: JobOutcome::Failed,
-                    start: Some(r.start),
-                    finish: Some(self.now),
-                    dilation_planned: r.dilation_planned,
-                    dilation_actual,
-                },
+                record,
             });
             return;
         }
-        meta.resubmits += 1;
-        let (job, rework_s) = match self.faults.interrupt {
+        *resubmits += 1;
+        let (job, rework_s) = match self.sim.faults.interrupt {
             InterruptPolicy::Resubmit => {
                 // From scratch: the whole aborted attempt is rework.
                 (r.job, attempt_wall.as_secs_f64())
@@ -1066,9 +1127,9 @@ impl<'a, 'o> Engine<'a, 'o> {
         SchedContext::new(
             self.now,
             &self.cluster,
-            &self.scheduler.config().slowdown,
+            &self.sim.scheduler.config().slowdown,
             self.releases.view(),
-            self.scheduler.slo_target(),
+            self.sim.scheduler.slo_target(),
         )
     }
 
@@ -1079,7 +1140,7 @@ impl<'a, 'o> Engine<'a, 'o> {
     fn preempt_candidate(&self) -> Option<(JobId, f64, usize)> {
         let first_release = self.releases.view().iter().next()?.planned_end;
         let ctx = self.sched_ctx();
-        let placement = self.scheduler.placement();
+        let placement = self.sim.scheduler.placement();
         for entry in self.queue.iter() {
             let job = &entry.job;
             let Some(price) = DeadlinePrice::of(job, &ctx) else {
@@ -1113,7 +1174,8 @@ impl<'a, 'o> Engine<'a, 'o> {
     /// re-pass, and resubmit the checkpointed work only after that pass —
     /// the critical job must win the freed capacity, not its evictees.
     fn maybe_preempt(&mut self) {
-        let PreemptPolicy::LaxityCheckpoint { overhead_s } = self.scheduler.config().preempt else {
+        let PreemptPolicy::LaxityCheckpoint { overhead_s } = self.sim.scheduler.config().preempt
+        else {
             return;
         };
         if self.queue.is_empty() || self.running.is_empty() {
@@ -1124,7 +1186,8 @@ impl<'a, 'o> Engine<'a, 'o> {
         };
         // Victims in descending laxity (deadline-free jobs, laxity ∞,
         // first), ties by ascending id — and never a job as critical as
-        // the one being rescued.
+        // the one being rescued. Every kept laxity exceeds a non-negative
+        // candidate laxity, so `total_cmp` orders them numerically.
         let mut victims: Vec<(f64, JobId)> = {
             let ctx = self.sched_ctx();
             self.running
@@ -1135,20 +1198,16 @@ impl<'a, 'o> Engine<'a, 'o> {
                 })
                 .collect()
         };
-        victims.sort_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                // lint: allow(panic) — laxities are finite arithmetic on validated deadlines; NaN is an engine bug
-                .expect("laxities are comparable")
-                .then(a.1.cmp(&b.1))
-        });
+        victims.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
         let mut free = self.cluster.free_nodes();
         let mut resubmits = Vec::new();
         for (_, victim) in victims {
             if free >= needed_nodes {
                 break;
             }
-            free += self.running[&victim].assignment.node_count();
-            resubmits.push(self.preempt_release(victim, for_job, overhead_s));
+            let (job, nodes) = self.preempt_release(victim, for_job, overhead_s);
+            free += nodes;
+            resubmits.push(job);
         }
         if resubmits.is_empty() {
             return;
@@ -1173,211 +1232,93 @@ impl<'a, 'o> Engine<'a, 'o> {
         }
     }
 
-    /// Checkpoint-release one running job to free capacity for `for_job`:
-    /// the capacity-release half of [`Engine::interrupt_job`], but never
-    /// terminal — preemption is a scheduling decision, not a fault, so it
-    /// neither consumes the fault model's resubmission budget nor can it
-    /// fail a job. Returns the checkpointed job; the caller resubmits it
-    /// after the rescue pass.
-    fn preempt_release(&mut self, id: JobId, for_job: JobId, overhead_s: u64) -> Job {
-        self.last_job_time = self.now;
-        // lint: allow(panic) — preemption victims are chosen from the running set itself
-        let mut r = self.running.remove(&id).expect("preempt of unknown job");
-        // Settle work consumed at the current rate up to the preemption.
-        let elapsed = self.now - r.last_update;
-        let consumed_now = elapsed.scale(1.0 / r.dilation);
-        r.work_remaining = r.work_remaining.saturating_sub(consumed_now);
-
-        self.cluster
-            .release(id.as_u64())
-            // lint: allow(panic) — every started job allocated a lease; missing one is an engine bug
-            .expect("running job holds a lease");
-        let release = self
-            .releases
-            .remove(id.as_u64())
-            // lint: allow(panic) — every started job is registered in the release index
-            .expect("running job is release-indexed");
-        self.note_pool_change(id, &release.pool_per_domain, false);
-        self.emit(SimEvent::AllocationReleased {
-            at: self.now,
-            job: id,
-            nodes: r.assignment.node_count() as u32,
-            local_mib: r.assignment.local_per_node * r.assignment.node_count() as u64,
-            remote_mib: r.assignment.total_remote(),
-        });
-        self.hash_mix([15, self.now.as_micros(), id.0]);
-        // Restart generations guard against the aborted attempt's
-        // in-flight finish event, exactly as fault interruptions do.
-        self.fault_meta.entry(id).or_default().next_gen = r.generation + 1;
+    /// Checkpoint-release one running job to free capacity for `for_job`.
+    /// Unlike [`Engine::interrupt_job`] it is never terminal: preemption
+    /// is a scheduling decision, not a fault, so it neither consumes the
+    /// fault model's resubmission budget nor can it fail a job. Returns
+    /// the checkpointed job, which the caller resubmits after the rescue
+    /// pass, and the number of nodes it freed.
+    fn preempt_release(&mut self, id: JobId, for_job: JobId, overhead_s: u64) -> (Job, usize) {
+        let (r, assignment) = self.stop(id, 15);
         // Checkpointed: completed work survives; the restore overhead is
         // the only rework.
-        let overhead = SimDuration::from_secs(overhead_s);
         let mut job = r.job;
-        job.runtime = r.work_remaining + overhead;
+        job.runtime = r.work_remaining + SimDuration::from_secs(overhead_s);
         self.emit(SimEvent::JobPreempted {
             at: self.now,
             job: id,
             for_job,
         });
         self.preemptions += 1;
-        job
+        (job, assignment.node_count())
     }
 
     fn finish_job(&mut self, id: JobId) {
-        self.last_job_time = self.now;
-        // lint: allow(panic) — finish events are scheduled only for running jobs
-        let mut r = self.running.remove(&id).expect("finish of unknown job");
-        // Convert elapsed wall time into consumed work.
-        let elapsed = self.now - r.last_update;
-        let consumed_now = elapsed.scale(1.0 / r.dilation);
-        r.work_remaining = r.work_remaining.saturating_sub(consumed_now);
-
-        let (outcome, consumed_total) = if r.ends_by_kill {
-            (
-                JobOutcome::Killed,
-                r.job.runtime.saturating_sub(r.work_remaining),
-            )
+        let (r, assignment) = self.stop(id, 2);
+        let outcome = if r.ends_by_kill {
+            JobOutcome::Killed
         } else {
-            // Natural completion: work is consumed exactly.
-            (JobOutcome::Completed, r.job.runtime)
+            JobOutcome::Completed
         };
-        let residence = self.now - r.start;
-        let dilation_actual = if consumed_total.is_zero() {
-            r.dilation
-        } else {
-            residence.ratio(consumed_total)
-        };
-
-        self.cluster
-            .release(id.as_u64())
-            // lint: allow(panic) — every started job allocated a lease; missing one is an engine bug
-            .expect("running job holds a lease");
-        let release = self
-            .releases
-            .remove(id.as_u64())
-            // lint: allow(panic) — every started job is registered in the release index
-            .expect("running job is release-indexed");
-        self.note_pool_change(id, &release.pool_per_domain, false);
-        self.emit(SimEvent::AllocationReleased {
-            at: self.now,
-            job: id,
-            nodes: r.assignment.node_count() as u32,
-            local_mib: r.assignment.local_per_node * r.assignment.node_count() as u64,
-            remote_mib: r.assignment.total_remote(),
-        });
-        self.hash_mix([2, self.now.as_micros(), id.0]);
+        self.retire(id);
+        let record = r.into_record(&assignment, outcome, self.now);
         self.emit(SimEvent::JobFinished {
             at: self.now,
-            record: JobRecord {
-                nodes_allocated: r.assignment.node_count() as u32,
-                remote_per_node: r.assignment.remote_per_node,
-                job: r.job,
-                outcome,
-                start: Some(r.start),
-                finish: Some(self.now),
-                dilation_planned: r.dilation_planned,
-                dilation_actual,
-            },
+            record,
         });
-    }
-
-    /// Pressure input for a running job: the highest pressure among the pool
-    /// domains its nodes charge.
-    fn job_pressure(&self, assignment: &MemoryAssignment) -> f64 {
-        if assignment.remote_per_node == 0 {
-            return 0.0;
-        }
-        let mut max_p = 0.0f64;
-        for &node in &assignment.nodes {
-            if let Some(pool) = self.cluster.pool_of(node) {
-                max_p = max_p.max(self.cluster.pool(pool).pressure());
-            }
-        }
-        max_p
-    }
-
-    /// Record a pool-occupancy change for `job` under the dynamic model:
-    /// maintain the borrower index and mark the touched pools dirty.
-    /// `pool_per_domain` is the job's release record — exactly the pools
-    /// its nodes charge.
-    fn note_pool_change(&mut self, job: JobId, pool_per_domain: &[u64], starting: bool) {
-        if !self.dynamic {
-            return;
-        }
-        for (p, &amount) in pool_per_domain.iter().enumerate() {
-            if amount == 0 {
-                continue;
-            }
-            if starting {
-                self.borrowers[p].insert(job);
-            } else {
-                self.borrowers[p].remove(&job);
-            }
-            self.dirty_pools[p] = true;
-            self.any_dirty = true;
-        }
     }
 
     /// Recompute dilation of running borrowers under the contention model;
     /// reschedule finishes whose dilation changed. Pool-scoped: only jobs
-    /// charged to pools whose occupancy changed since the last call are
-    /// visited — everyone else's dilation inputs are unchanged, so the old
-    /// whole-set sweep would have recomputed their dilation to the same
-    /// value and skipped them anyway.
+    /// holding memory in pools whose pressure changed since the last call
+    /// are visited — everyone else's dilation inputs are unchanged, so
+    /// recomputing them would yield the value they already have.
     fn re_dilate(&mut self) {
         if !self.dynamic || !self.any_dirty {
             return;
         }
-        // Union of the dirty pools' borrowers, in ascending job-id order —
-        // the same deterministic order the full sweep used.
-        let mut ids: BTreeSet<JobId> = BTreeSet::new();
-        for (p, dirty) in self.dirty_pools.iter_mut().enumerate() {
+        // Union of the dirty pools' holders, in ascending lease (= job
+        // id) order.
+        let mut leases: BTreeSet<u64> = BTreeSet::new();
+        for (pool, dirty) in self.cluster.pools().iter().zip(&mut self.dirty_pools) {
             if *dirty {
-                ids.extend(self.borrowers[p].iter().copied());
+                leases.extend(pool.holders().map(|(lease, _)| lease));
                 *dirty = false;
             }
         }
         self.any_dirty = false;
-        for id in ids {
-            let pressure = {
-                let r = &self.running[&id];
-                self.job_pressure(&r.assignment)
-            };
-            // lint: allow(panic) — the id came from iterating this same map moments ago
-            let r = self.running.get_mut(&id).expect("listed above");
-            let new_dilation = self.cfg.scheduler.slowdown.dilation(DilationInputs {
-                far_fraction: r.assignment.far_fraction(),
-                intensity: r.job.intensity,
-                pool_pressure: pressure,
-            });
+        for lease in leases {
+            let id = JobId(lease);
+            // lint: allow(panic) — pool holders are running jobs: every lease is released when its job stops
+            let r = self.running.get_mut(&id).expect("pool holder is running");
+            let assignment = self
+                .cluster
+                .lease_assignment(lease)
+                // lint: allow(panic) — the lease was just read from a pool's holder ledger
+                .expect("pool holder holds a lease");
+            let new_dilation = current_dilation(
+                &self.cluster,
+                &self.sim.cfg.scheduler.slowdown,
+                assignment,
+                r.job.intensity,
+            );
             if (new_dilation - r.dilation).abs() < 1e-9 {
                 continue;
             }
             // Settle work at the old rate, then switch rates.
-            let elapsed = self.now - r.last_update;
-            let consumed = elapsed.scale(1.0 / r.dilation);
-            r.work_remaining = r.work_remaining.saturating_sub(consumed);
-            r.last_update = self.now;
+            r.settle(self.now);
             r.dilation = new_dilation;
-            r.generation += 1;
             let natural = self.now + r.work_remaining.scale(new_dilation);
             let effective = natural.min_of(r.kill_time);
             r.ends_by_kill = r.kill_time < natural;
-            let generation = r.generation;
-            self.events.schedule(
-                effective,
-                Event::Finish {
-                    job: id,
-                    generation,
-                },
-            );
+            r.stamp = schedule_finish(&mut self.events, id, effective);
         }
     }
 
     /// One scheduling pass; returns how many jobs started. The release
     /// list is not rebuilt here — the pass reads the persistent index.
     fn pass(&mut self) -> usize {
-        let result = self.scheduler.schedule(
+        let result = self.sim.scheduler.schedule(
             self.now,
             &mut self.queue,
             &mut self.cluster,
@@ -1396,6 +1337,7 @@ impl<'a, 'o> Engine<'a, 'o> {
         let rejected = result.rejected.len();
         for (job, _reason) in result.rejected {
             self.hash_mix([3, self.now.as_micros(), job.id.0]);
+            self.retire(job.id);
             self.emit(SimEvent::JobRejected {
                 at: self.now,
                 record: JobRecord::rejected(job),
@@ -1464,44 +1406,30 @@ impl<'a, 'o> Engine<'a, 'o> {
         // them) and is removed at finish.
         let planned_end = self.now + planned_walltime;
         let release = RunningRelease::of(&self.cluster, &assignment, planned_end);
-        self.note_pool_change(job.id, &release.pool_per_domain, true);
+        self.mark_charged_pools_dirty(&release.pool_per_domain);
         self.releases.insert(job.id.as_u64(), release);
-        let kill_time = if self.cfg.enforce_walltime {
+        let kill_time = if self.sim.cfg.enforce_walltime {
             self.now + planned_walltime
         } else {
             SimTime::MAX
         };
         let natural = self.now + job.runtime.scale(dilation);
         let effective = natural.min_of(kill_time);
-        // Restarted-after-interruption jobs begin above every generation of
-        // their earlier attempts, so an aborted attempt's in-flight finish
-        // event can never be mistaken for this one's. Fault-free runs have
-        // an empty meta map and start at 0, as before.
-        let generation = self
-            .fault_meta
-            .get(&job.id)
-            .map(|m| m.next_gen)
-            .unwrap_or(0);
+        // A fresh stamp: no finish of an earlier, aborted attempt of this
+        // job can match it.
+        let id = job.id;
+        let stamp = schedule_finish(&mut self.events, id, effective);
         let running = RunningJob {
             work_remaining: job.runtime,
             job,
             start: self.now,
-            assignment,
             kill_time,
             dilation_planned: dilation,
             dilation,
             last_update: self.now,
-            generation,
+            stamp,
             ends_by_kill: kill_time < natural,
         };
-        let id = running.job.id;
-        self.events.schedule(
-            effective,
-            Event::Finish {
-                job: id,
-                generation,
-            },
-        );
         self.running.insert(id, running);
     }
 
@@ -1521,31 +1449,53 @@ impl<'a, 'o> Engine<'a, 'o> {
             }
             self.maybe_preempt();
         }
-        if self.cfg.check_invariants {
-            self.cluster
-                .verify_invariants()
-                // lint: allow(panic) — repair restores exactly what the failure removed
-                .expect("cluster invariants violated");
-            let busy = self.cluster.used_nodes() as f64;
-            if let Some(series) = &self.obs.series {
+        if self.sim.cfg.check_invariants {
+            self.check_invariants();
+        }
+    }
+
+    /// Checked mode's end-of-batch audit of the state the engine keeps
+    /// beside the cluster.
+    fn check_invariants(&self) {
+        self.cluster
+            .verify_invariants()
+            // lint: allow(panic) — repair restores exactly what the failure removed
+            .expect("cluster invariants violated");
+        let busy = self.cluster.used_nodes() as f64;
+        if let Some(series) = &self.obs.series {
+            assert_eq!(
+                series.bundle().nodes_busy.stats().current(),
+                busy,
+                "series out of sync with cluster"
+            );
+        }
+        // One lease and one release-index entry per running job. Both
+        // maps are ordered by id, so pairing them up checks the ids too.
+        assert_eq!(self.releases.len(), self.running.len(), "release index");
+        assert_eq!(self.cluster.lease_count(), self.running.len(), "leases");
+        let model = &self.sim.cfg.scheduler.slowdown;
+        for ((id, r), (lease, assignment)) in self.running.iter().zip(self.cluster.active_leases())
+        {
+            assert_eq!(id.as_u64(), lease, "running job {id} holds no lease");
+            // Availability: by the end of every batch no job occupies a
+            // Down/Draining node (faults interrupt displaced jobs within
+            // the event that displaced them).
+            for &node in &assignment.nodes {
                 assert_eq!(
-                    series.bundle().nodes_busy.stats().current(),
-                    busy,
-                    "series out of sync with cluster"
+                    self.cluster.node_state(node),
+                    NodeState::Up,
+                    "job {id} occupies out-of-service node {node}"
                 );
             }
-            // Availability invariant: by the end of every batch, no job
-            // occupies a Down/Draining node (faults interrupt displaced
-            // jobs within the event that displaced them).
-            for r in self.running.values() {
-                for &node in &r.assignment.nodes {
-                    assert_eq!(
-                        self.cluster.node_state(node),
-                        NodeState::Up,
-                        "job {} occupies out-of-service node {node}",
-                        r.job.id
-                    );
-                }
+            // Re-dilation: the pool-scoped sweep left every running job
+            // where a from-scratch recomputation puts it.
+            if self.dynamic {
+                let fresh = current_dilation(&self.cluster, model, assignment, r.job.intensity);
+                assert!(
+                    (fresh - r.dilation).abs() < 1e-9,
+                    "job {id}: dilation {} but current pressure gives {fresh}",
+                    r.dilation
+                );
             }
         }
     }
@@ -1553,12 +1503,15 @@ impl<'a, 'o> Engine<'a, 'o> {
     fn finalize(self) -> SimOutput {
         debug_assert!(self.releases.is_empty(), "release index drained");
         debug_assert!(
-            self.borrowers.iter().all(BTreeSet::is_empty),
-            "borrower index drained"
+            self.deferred.is_empty(),
+            "ended jobs leave the deferred set"
+        );
+        debug_assert!(
+            self.resubmits.is_empty(),
+            "ended jobs leave the resubmit counts"
         );
         let Engine {
-            cfg,
-            scheduler,
+            sim,
             faults_active,
             obs,
             extras,
@@ -1571,6 +1524,7 @@ impl<'a, 'o> Engine<'a, 'o> {
             preemptions,
             ..
         } = self;
+        let (cfg, scheduler) = (&sim.cfg, &sim.scheduler);
         // Fault runs clamp the metrics window to the last job-affecting
         // event: repair/drain-end events trailing the last finish (the
         // generator's horizon routinely outlives short workloads) would
@@ -1684,25 +1638,13 @@ impl<'a, 'o> Engine<'a, 'o> {
 pub(crate) type SiteEngine<'a> = Engine<'a, 'static>;
 
 impl<'a> SiteEngine<'a> {
-    /// Build a site engine with its clock pinned to the fleet `origin`.
-    /// `faults` and `service` must be the none specs (sites borrow them
-    /// from the caller so the engine's borrowed fields have somewhere to
-    /// point).
-    pub(crate) fn site(
-        cfg: &'a SimConfig,
-        scheduler: &'a Scheduler,
-        faults: &'a FaultSpec,
-        service: &ServiceSpec,
-        origin: SimTime,
-    ) -> Self {
-        debug_assert!(faults.is_none() && service.is_none());
+    /// Build a site engine for a fault- and service-free simulator, with
+    /// its clock pinned to the fleet `origin`.
+    pub(crate) fn site(sim: &'a Simulation, origin: SimTime) -> Self {
+        debug_assert!(sim.faults.is_none() && sim.service.is_none());
         Engine::new(
-            cfg,
-            scheduler,
-            faults,
-            service,
+            sim,
             Arrivals::Routed(VecDeque::new()),
-            &[],
             &mut [],
             Some(origin),
         )
@@ -1732,7 +1674,8 @@ impl<'a> SiteEngine<'a> {
     /// Observe the site for the meta-scheduler, tagged with its fleet
     /// index.
     pub(crate) fn snapshot(&self, site: usize) -> SiteSnapshot {
-        let mem_capacity = self.cfg.cluster.total_local_mem() + self.cfg.cluster.total_pool_mem();
+        let spec = &self.sim.cfg.cluster;
+        let mem_capacity = spec.total_local_mem() + spec.total_pool_mem();
         let total_mem = mem_capacity as f64;
         let used = (self.cluster.total_local_used() + self.cluster.total_pool_used()) as f64;
         SiteSnapshot {
@@ -1740,7 +1683,7 @@ impl<'a> SiteEngine<'a> {
             queue_depth: self.queue.len(),
             queued_nodes: self.queue.total_requested_nodes(),
             free_nodes: self.cluster.free_nodes(),
-            total_nodes: self.cfg.cluster.total_nodes(),
+            total_nodes: spec.total_nodes(),
             mem_pressure: if total_mem > 0.0 {
                 used / total_mem
             } else {

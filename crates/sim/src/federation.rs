@@ -33,14 +33,12 @@
 
 use crate::collector::SeriesBundle;
 use crate::config::SimConfig;
-use crate::engine::{SimOutput, SiteEngine, FNV_OFFSET, FNV_PRIME};
+use crate::engine::{SimOutput, Simulation, SiteEngine, FNV_OFFSET, FNV_PRIME};
 use crate::error::SimError;
-use crate::faults::FaultSpec;
-use crate::service::ServiceSpec;
 use dmhpc_des::time::{SimDuration, SimTime};
 use dmhpc_metrics::{ClassThresholds, FaultSummary, RunData, SimReport};
 use dmhpc_platform::ClusterSpec;
-use dmhpc_sched::{MetaPolicy, MetaPolicyKind, Scheduler, SchedulerConfig, SiteSnapshot};
+use dmhpc_sched::{MetaPolicy, MetaPolicyKind, SchedulerConfig, SiteSnapshot};
 use dmhpc_workload::{Job, Workload};
 
 /// One site of a fleet: a label plus optionally pinned machine shape and
@@ -71,9 +69,9 @@ impl SiteSpec {
 
 /// A federated fleet scenario: the sites, the epoch length, and the
 /// meta-scheduling policy. Follows the same axis conventions as
-/// [`FaultSpec`] / [`ServiceSpec`]: [`FleetSpec::none`] means "no
-/// federation" and is **hash-neutral** — fleet-free cells hash and replay
-/// bit-identically to pre-federation caches.
+/// [`crate::FaultSpec`] / [`crate::ServiceSpec`]: [`FleetSpec::none`]
+/// means "no federation" and is **hash-neutral** — fleet-free cells hash
+/// and replay bit-identically to pre-federation caches.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetSpec {
     /// The sites, in fleet order (site index = position).
@@ -199,20 +197,15 @@ pub struct FleetSimulation {
     base: SimConfig,
     epoch: SimDuration,
     policy: MetaPolicyKind,
-    // Fleet sites never carry faults or services; the none specs live
-    // here so each site engine's borrowed fields have a stable home.
-    faults: FaultSpec,
-    service: ServiceSpec,
 }
 
-/// One site with inheritance applied: a complete per-site [`SimConfig`]
-/// and the scheduler built from it (stateless across runs, so one
-/// scheduler serves every [`FleetSimulation::run`]).
+/// One site with inheritance applied: its label and a fault- and
+/// service-free [`Simulation`] of the per-site config (stateless across
+/// runs, so one serves every [`FleetSimulation::run`]).
 #[derive(Debug)]
 struct ResolvedSite {
     label: String,
-    cfg: SimConfig,
-    scheduler: Scheduler,
+    sim: Simulation,
 }
 
 /// Everything a fleet run produces: the per-site outputs (one full
@@ -257,8 +250,7 @@ impl FleetSimulation {
                 }
                 Ok(ResolvedSite {
                     label: s.label.clone(),
-                    cfg,
-                    scheduler: Scheduler::new(cfg.scheduler)?,
+                    sim: Simulation::new(cfg)?,
                 })
             })
             .collect::<Result<Vec<_>, SimError>>()?;
@@ -270,8 +262,6 @@ impl FleetSimulation {
                 SimDuration::from_secs_f64(fleet.epoch_s).as_micros().max(1),
             ),
             policy: fleet.policy,
-            faults: FaultSpec::none(),
-            service: ServiceSpec::none(),
         })
     }
 
@@ -299,7 +289,7 @@ impl FleetSimulation {
         let mut engines: Vec<SiteEngine<'_>> = self
             .sites
             .iter()
-            .map(|s| SiteEngine::site(&s.cfg, &s.scheduler, &self.faults, &self.service, origin))
+            .map(|s| SiteEngine::site(&s.sim, origin))
             .collect();
         run_epochs(&mut engines, &mut router);
         let site_outputs: Vec<SimOutput> = engines.into_iter().map(SiteEngine::finish).collect();
@@ -345,9 +335,10 @@ impl FleetSimulation {
         let mut trace_hash = FNV_OFFSET;
         for (site, out) in self.sites.iter().zip(outputs) {
             let span = site_span(out);
-            let n = site.cfg.cluster.total_nodes() as f64;
-            let pool = site.cfg.cluster.total_pool_mem() as f64;
-            let dram = site.cfg.cluster.total_local_mem() as f64;
+            let spec = &site.sim.config().cluster;
+            let n = spec.total_nodes() as f64;
+            let pool = spec.total_pool_mem() as f64;
+            let dram = spec.total_local_mem() as f64;
             busy_node_s += out.report.node_util * n * span;
             busy_pool_s += out.report.pool_util * pool * span;
             busy_dram_s += out.report.dram_util * dram * span;

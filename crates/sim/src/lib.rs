@@ -14,7 +14,7 @@
 //!   every event batch. Running jobs carry **work-remaining** state, so
 //!   the contention-aware slowdown model can re-dilate in-flight jobs
 //!   exactly whenever pool pressure changes (stale finish events are
-//!   invalidated by generation stamps). Construction is fallible
+//!   invalidated by finish stamps). Construction is fallible
 //!   ([`SimError`]); custom [`dmhpc_sched::Ordering`]/
 //!   [`dmhpc_sched::Placement`] policies plug in via
 //!   [`Simulation::with_policies`].
