@@ -144,56 +144,66 @@ impl AdmissionPolicy {
         let Some(price) = DeadlinePrice::of(job, ctx) else {
             return AdmissionVerdict::Admit;
         };
-        let best = placement.best_dilation(job, ctx);
+        let best = placement.best_dilation(job, ctx).unwrap_or(1.0);
         self.verdict(job, price, best, ctx, placement)
     }
 
     /// [`AdmissionPolicy::assess`] for a queue entry, pricing its best
-    /// dilation once and reusing it on every later pass.
+    /// dilation once and reusing it on every later pass. Under
+    /// `RejectInfeasible`, an entry admitted through the laxity test with
+    /// every node up also keeps the last instant the test still holds,
+    /// and is admitted unpriced until then while every node stays up.
     pub(crate) fn assess_queued(
         &self,
         entry: &mut QueuedJob,
         ctx: &SchedContext<'_>,
         placement: &dyn Placement,
     ) -> AdmissionVerdict {
-        if matches!(self, AdmissionPolicy::AdmitAll) {
-            return AdmissionVerdict::Admit;
+        match self {
+            AdmissionPolicy::AdmitAll => return AdmissionVerdict::Admit,
+            AdmissionPolicy::RejectInfeasible if entry.admitted_until(ctx, placement) => {
+                return AdmissionVerdict::Admit;
+            }
+            _ => {}
         }
         let Some(price) = DeadlinePrice::of(&entry.job, ctx) else {
             return AdmissionVerdict::Admit;
         };
-        let best = entry.price_best_dilation(ctx, placement);
-        self.verdict(&entry.job, price, best, ctx, placement)
+        let best = entry.price_best_dilation(ctx, placement).unwrap_or(1.0);
+        let verdict = self.verdict(&entry.job, price, best, ctx, placement);
+        if *self == AdmissionPolicy::RejectInfeasible && price.meets(best) && all_nodes_up(ctx) {
+            entry.set_admit_until(price.meets_until(best, ctx.now));
+        }
+        verdict
     }
 
-    /// The verdict for a priced, deadline-stamped job. Jobs impossible
-    /// even on an idle machine (no nominal shape) are the scheduling
-    /// pass's problem — rejected at the queue head as `CapacityExceeded`
-    /// — so admission admits them and only prices deadlines.
+    /// The verdict for a priced, deadline-stamped job whose best dilation
+    /// is `best` (1 when it has no shape). Jobs impossible even on an idle
+    /// machine (no nominal shape) are the scheduling pass's problem —
+    /// rejected at the queue head as `CapacityExceeded` — so admission
+    /// admits them and only prices deadlines.
     fn verdict(
         &self,
         job: &Job,
         price: DeadlinePrice,
-        best: Option<f64>,
+        best: f64,
         ctx: &SchedContext<'_>,
         placement: &dyn Placement,
     ) -> AdmissionVerdict {
-        let best = best.unwrap_or(1.0);
         let meets = price.meets(best);
         match self {
             AdmissionPolicy::AdmitAll => AdmissionVerdict::Admit,
             AdmissionPolicy::RejectInfeasible => {
-                let available = ctx.cluster.available_nodes();
                 // A `Some` nominal shape never has more than `total_nodes`
                 // nodes, so with every node up the capacity test passes
                 // whatever the shape is, and so does a missing shape.
-                if meets && available == ctx.cluster.total_nodes() as usize {
+                if meets && all_nodes_up(ctx) {
                     return AdmissionVerdict::Admit;
                 }
                 let Some((demand, _)) = placement.nominal_shape(job, ctx) else {
                     return AdmissionVerdict::Admit;
                 };
-                if meets && available >= demand.nodes as usize {
+                if meets && ctx.cluster.available_nodes() >= demand.nodes as usize {
                     AdmissionVerdict::Admit
                 } else {
                     AdmissionVerdict::Reject(RejectReason::DeadlineInfeasible)
@@ -224,8 +234,24 @@ impl AdmissionPolicy {
     }
 }
 
+/// Whether every node of the machine is up: the state in which
+/// `RejectInfeasible` admits a laxity-feasible job without its shape.
+pub(crate) fn all_nodes_up(ctx: &SchedContext<'_>) -> bool {
+    ctx.cluster.available_nodes() == ctx.cluster.total_nodes() as usize
+}
+
 /// A deadline-stamped job's terms at one pass instant: what admission and
 /// preemption price feasibility with.
+///
+/// For a fixed deadline and walltime, [`DeadlinePrice::meets`] can only
+/// turn from true to false as the pass instant advances. Every step of
+/// the laxity `(deadline − now) − walltime` is a correctly rounded
+/// floating-point operation (µs to `f64`, division by 10⁶, subtraction),
+/// and correct rounding is monotone, so the laxity never increases with
+/// `now`; both tests in `meets` compare it against a constant. Hence a job
+/// that meets the test at some instant meets it at every earlier one,
+/// which is what lets a queue entry keep the last such instant instead
+/// of re-pricing each pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeadlinePrice {
     /// The job's absolute start deadline ([`SchedContext::deadline`]).
@@ -242,11 +268,21 @@ impl DeadlinePrice {
     /// constrains the job.
     pub fn of(job: &Job, ctx: &SchedContext<'_>) -> Option<Self> {
         let deadline = ctx.deadline(job)?;
-        Some(DeadlinePrice {
+        Some(DeadlinePrice::at(
             deadline,
-            laxity_s: ctx.laxity_at(deadline, job),
-            walltime_s: job.walltime.as_secs_f64(),
-        })
+            job.walltime.as_secs_f64(),
+            ctx.now,
+        ))
+    }
+
+    /// The terms for a job due to start by `deadline` with a walltime of
+    /// `walltime_s` seconds, priced at `now`: the one laxity formula.
+    pub(crate) fn at(deadline: SimTime, walltime_s: f64, now: SimTime) -> Self {
+        DeadlinePrice {
+            deadline,
+            laxity_s: deadline.as_secs_f64() - now.as_secs_f64() - walltime_s,
+            walltime_s,
+        }
     }
 
     /// The laxity test: started now in a shape of dilation `best`, the job
@@ -254,6 +290,28 @@ impl DeadlinePrice {
     /// laxity`, on a deadline not already lost.
     pub fn meets(&self, best: f64) -> bool {
         self.laxity_s >= 0.0 && self.walltime_s * (best - 1.0) <= self.laxity_s
+    }
+
+    /// The last µs instant in `[now, deadline]` at which the same terms,
+    /// re-priced, still meet the laxity test with dilation `best`, for
+    /// terms priced at `now` that meet it. The test holds at every instant
+    /// up to the answer (see the type docs), so the search is exact.
+    pub(crate) fn meets_until(&self, best: f64, now: SimTime) -> SimTime {
+        debug_assert!(self.meets(best), "meets_until on terms that fail");
+        let meets_at = |t: u64| {
+            DeadlinePrice::at(self.deadline, self.walltime_s, SimTime::from_micros(t)).meets(best)
+        };
+        // Invariant: the test holds at `lo`; it fails past `hi`.
+        let (mut lo, mut hi) = (now.as_micros(), self.deadline.as_micros());
+        while lo < hi {
+            let mid = lo + (hi - lo).div_ceil(2);
+            if meets_at(mid) {
+                lo = mid;
+            } else {
+                hi = mid - 1;
+            }
+        }
+        SimTime::from_micros(lo)
     }
 }
 

@@ -18,7 +18,6 @@ thread_local! {
     /// Ordering runs on every scheduling pass of every engine, and engines
     /// are thread-confined, so reusing these buffers drops the pass's
     /// steady-state allocations to zero without changing the order.
-    static DEADLINE_KEYS: RefCell<Keyed<(SimTime, Fifo)>> = const { RefCell::new(Vec::new()) };
     static SCORE_KEYS: RefCell<Keyed<(i64, Fifo)>> = const { RefCell::new(Vec::new()) };
     static WFP_KEYS: RefCell<Keyed<(Reverse<i64>, Fifo)>> = const { RefCell::new(Vec::new()) };
 }
@@ -87,7 +86,8 @@ pub enum OrderPolicy {
     /// Earliest deadline first: ascending absolute start deadline (per-job
     /// [`dmhpc_workload::Slo`] stamp, else the run-wide SLO target).
     /// Deadline-free jobs sort last; with no deadlines anywhere this
-    /// degrades to FCFS exactly.
+    /// degrades to FCFS exactly. The key does not depend on the pass
+    /// instant, so each queue entry works it out once and keeps it.
     Edf,
     /// Least laxity first: ascending [`SchedContext::laxity_s`] — the job
     /// closest to missing its deadline (walltime included) goes first.
@@ -132,11 +132,14 @@ impl OrderPolicy {
                 entries.sort_by_key(|e| (Reverse(e.job.nodes), fifo(e)));
             }
             OrderPolicy::Edf => {
-                // Deadline-free jobs get the MAX sentinel: they queue
-                // behind every constrained job, FCFS among themselves.
-                sort_by_pass_key(&DEADLINE_KEYS, entries, |e| {
-                    (ctx.deadline(&e.job).unwrap_or(SimTime::MAX), fifo(e))
-                });
+                // A queued job's deadline never changes, so each entry
+                // memoizes its key once; deadline-free jobs get the MAX
+                // sentinel and queue behind every constrained job, FCFS
+                // among themselves.
+                for e in entries.iter_mut() {
+                    e.memo_deadline_key(ctx);
+                }
+                entries.sort_by_key(|e| (e.deadline_key(), fifo(e)));
             }
             OrderPolicy::LeastLaxity => {
                 sort_by_pass_key(&SCORE_KEYS, entries, |e| {
@@ -447,6 +450,78 @@ mod tests {
         let mut q = vec![queued(1, 0, 1, 10)];
         order_at(OrderPolicy::Wfp { exponent: 2.0 }, &mut q, 0);
         assert_eq!(q[0].job.id, JobId(1));
+    }
+
+    thread_local! {
+        /// The key buffer of the reference EDF sort below.
+        static FRESH_DEADLINE_KEYS: RefCell<Keyed<(SimTime, Fifo)>> =
+            const { RefCell::new(Vec::new()) };
+    }
+
+    /// EDF as it read before entries memoized their keys: every key
+    /// worked out afresh on each pass.
+    fn fresh_edf(entries: &mut [QueuedJob], ctx: &SchedContext<'_>) {
+        sort_by_pass_key(&FRESH_DEADLINE_KEYS, entries, |e| {
+            (ctx.deadline(&e.job).unwrap_or(SimTime::MAX), fifo(e))
+        });
+    }
+
+    /// Memoized EDF keys give the fresh-key order on a queue that lives
+    /// across passes: arrivals (stamped, unstamped under a run-wide SLO
+    /// target, or unconstrained) join between passes and the head leaves
+    /// as jobs start, so every pass mixes memo hits with fresh entries.
+    #[test]
+    fn edf_memo_matches_fresh_keys_across_passes() {
+        let mut rng = dmhpc_des::rng::Pcg64::new(1818);
+        let c = cluster();
+        let model = SlowdownModel::None;
+        let (mut hits, mut fresh) = (0, 0);
+        for case in 0..60 {
+            let slo_wait_s = (case % 2 == 0).then_some(600.0 + rng.bounded_u64(3_000) as f64);
+            let mut q: Vec<QueuedJob> = Vec::new();
+            let mut next_id = 0;
+            for pass in 0..40u64 {
+                let now_s = 100 * pass;
+                hits += q.len();
+                for _ in 0..rng.bounded_u64(5) {
+                    // Arrivals share instants and walltimes, so keys tie
+                    // often and the (arrival, id) tie-break decides.
+                    let wall_s = 1 + rng.bounded_u64(4) * 500;
+                    let arrival_s = now_s.saturating_sub(rng.bounded_u64(2) * 50);
+                    let mut e = queued(next_id, arrival_s, 1, wall_s);
+                    e.job.slo = match rng.bounded_u64(3) {
+                        0 => None,
+                        1 => Some(Slo::Deadline {
+                            deadline_s: 100.0 * (1 + rng.bounded_u64(30)) as f64,
+                        }),
+                        _ => Some(Slo::BudgetFactor {
+                            factor: 0.5 * (1 + rng.bounded_u64(6)) as f64,
+                        }),
+                    };
+                    q.push(e);
+                    next_id += 1;
+                    fresh += 1;
+                }
+                let ctx = SchedContext::new(
+                    SimTime::from_secs(now_s),
+                    &c,
+                    &model,
+                    ReleaseView::empty(),
+                    slo_wait_s,
+                );
+                let mut want = q.clone();
+                want.reverse();
+                fresh_edf(&mut want, &ctx);
+                OrderPolicy::Edf.order(&mut q, &ctx);
+                assert_eq!(ids(&q), ids(&want), "case {case} pass {pass}");
+                let started = rng.bounded_u64(3).min(q.len() as u64) as usize;
+                q.drain(..started);
+            }
+        }
+        assert!(
+            hits >= 40_000 && fresh >= 4_000,
+            "coverage: {hits} memo hits, {fresh} fresh entries"
+        );
     }
 
     /// The once-per-pass keyed sorts give exactly the order the

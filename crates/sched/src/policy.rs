@@ -306,6 +306,11 @@ impl Scheduler {
     /// Set (or clear) the run-wide SLO wait target policies see through
     /// [`SchedContext::slo_wait_s`]. The engine wires this from an open
     /// run's service objective; standalone users may set it directly.
+    ///
+    /// Set it before the first pass: queue entries memoize their
+    /// deadlines (EDF keys and admission's admit-until instants), which
+    /// the target feeds for unstamped jobs. Debug builds catch a later
+    /// change that alters a memoized deadline.
     pub fn set_slo_target(&mut self, slo_wait_s: Option<f64>) {
         self.slo_wait_s = slo_wait_s;
     }
@@ -492,7 +497,8 @@ impl Scheduler {
     /// before scheduling anything (the engine re-passes at `hold_until`,
     /// well inside any deadline a batch budget could threaten). Each
     /// entry's best dilation is priced on its first assessment and reused
-    /// on every later pass.
+    /// on every later pass; under `RejectInfeasible` an entry admitted on
+    /// a healthy machine is not re-priced until its admit-until instant.
     fn admission_pass(
         &self,
         now: SimTime,
@@ -504,23 +510,17 @@ impl Scheduler {
         if self.cfg.admission == AdmissionPolicy::AdmitAll {
             return;
         }
+        let ctx = self.ctx(now, cluster, running);
         let mut idx = 0;
-        while idx < queue.len() {
-            let verdict = {
-                let ctx = self.ctx(now, cluster, running);
-                // lint: allow(panic) — the loop condition maintains idx < queue.len()
-                let entry = queue.get_mut(idx).expect("idx < len");
-                self.cfg
-                    .admission
-                    .assess_queued(entry, &ctx, self.placement.as_ref())
-            };
+        while let Some(entry) = queue.get_mut(idx) {
+            let verdict = self
+                .cfg
+                .admission
+                .assess_queued(entry, &ctx, self.placement.as_ref());
             match verdict {
                 AdmissionVerdict::Admit => idx += 1,
                 AdmissionVerdict::Defer { recheck_at } => {
-                    result
-                        .deferred
-                        // lint: allow(panic) — the loop condition maintains idx < queue.len()
-                        .push((queue.get(idx).expect("idx < len").job.id, recheck_at));
+                    result.deferred.push((entry.job.id, recheck_at));
                     result.recheck_at = Some(match result.recheck_at {
                         Some(t) => t.min(recheck_at),
                         None => recheck_at,
@@ -1886,6 +1886,105 @@ mod tests {
             rejected >= 1_000 && deferred >= 1_000 && degraded >= 200 && repriced >= 2_000,
             "oracle coverage: {rejected} rejects, {deferred} defers, \
              {degraded} degraded passes, {repriced} memo hits"
+        );
+    }
+
+    /// Boundary oracle for the admit-until memo: after a first pass on a
+    /// healthy machine, passes run exactly at each admitted entry's
+    /// memoized instant `T` (the last one its laxity test holds, a memo
+    /// hit) and at `T + 1 µs` (the first re-pricing), on the healthy
+    /// machine and with nodes failed, and must decide what the naive
+    /// per-job `assess` loop decides. An off-by-one `T` admits a job the
+    /// naive loop rejects at `T + 1 µs`.
+    #[test]
+    fn admission_memo_boundaries_match_naive_assess_loop() {
+        let mut rng = Pcg64::new(1717);
+        let (mut at_t, mut past_t, mut degraded) = (0, 0, 0);
+        for case in 0..320 {
+            let now = SimTime::from_secs(5_000);
+            let (cluster, running, mut queue) = random_state(&mut rng, now);
+            if cluster.available_nodes() < cluster.total_nodes() as usize {
+                continue; // memos are only made with every node up
+            }
+            stamp_randomly(&mut rng, &mut queue);
+            let memory = PLACEMENTS[case % PLACEMENTS.len()];
+            let sched = Scheduler::new(
+                SchedulerBuilder::new()
+                    .memory(memory)
+                    .admission(AdmissionPolicy::RejectInfeasible)
+                    .build(),
+            )
+            .unwrap();
+            let label = format!("case {case}: {}", sched.config().full_label());
+            let mut first = PassResult::default();
+            sched.admission_pass(now, &mut queue, &cluster, running.view(), &mut first);
+            let memos: Vec<SimTime> = queue.iter().filter_map(|e| e.admit_until_memo()).collect();
+            // Each memo is exact: the laxity test holds at `T` and fails
+            // one µs later, unless `T` is the deadline itself.
+            for e in queue.iter() {
+                let Some(until) = e.admit_until_memo() else {
+                    continue;
+                };
+                let best = e.best_dilation(&sched.ctx(now, &cluster, running.view()), &memory);
+                let meets_at = |t: SimTime| {
+                    let ctx = sched.ctx(t, &cluster, running.view());
+                    crate::DeadlinePrice::of(&e.job, &ctx)
+                        .map(|p| (p.meets(best.unwrap_or(1.0)), p))
+                };
+                let (held, price) = meets_at(until).unwrap();
+                assert!(held, "{label}: job {} fails at its memo", e.job.id.0);
+                let past = meets_at(until + SimDuration::from_micros(1)).unwrap().0;
+                assert!(
+                    until == price.deadline || !past,
+                    "{label}: job {} still meets the test after its memo",
+                    e.job.id.0
+                );
+            }
+            let mut broken = cluster.clone();
+            for n in 0..1 + rng.bounded_u64(u64::from(cluster.total_nodes())) {
+                broken.fail_node(dmhpc_platform::NodeId(n as u32)).unwrap();
+            }
+            for until in memos {
+                for at in [until, until + SimDuration::from_micros(1)] {
+                    for machine in [&cluster, &broken] {
+                        let healthy = machine.available_nodes() == machine.total_nodes() as usize;
+                        let mut got_queue = queue.clone();
+                        let mut naive_queue = queue.clone();
+                        let mut got = PassResult::default();
+                        sched.admission_pass(at, &mut got_queue, machine, running.view(), &mut got);
+                        let want =
+                            naive_admission(&sched, at, &mut naive_queue, machine, running.view());
+                        let pass = format!("{label} at {at:?} healthy {healthy}");
+                        let rejects = |r: &PassResult| -> Vec<(u64, RejectReason)> {
+                            r.rejected.iter().map(|(j, why)| (j.id.0, *why)).collect()
+                        };
+                        assert_eq!(rejects(&got), rejects(&want), "{pass}: rejected");
+                        let left =
+                            |q: &WaitQueue| -> Vec<u64> { q.iter().map(|e| e.job.id.0).collect() };
+                        assert_eq!(left(&got_queue), left(&naive_queue), "{pass}: queue");
+                        if !healthy {
+                            degraded += 1;
+                            continue;
+                        }
+                        let memo_is = |t: SimTime| {
+                            queue
+                                .iter()
+                                .filter(|e| e.admit_until_memo() == Some(t))
+                                .count()
+                        };
+                        if at == until {
+                            at_t += memo_is(at);
+                        } else {
+                            past_t += memo_is(until);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            at_t >= 1_000 && past_t >= 1_000 && degraded >= 100,
+            "oracle coverage: {at_t} entries hit at T, {past_t} re-priced at T + 1 µs, \
+             {degraded} degraded passes"
         );
     }
 

@@ -1,11 +1,19 @@
 //! The wait queue.
 
+use crate::admission::{all_nodes_up, DeadlinePrice};
 use crate::traits::{Placement, SchedContext};
 use dmhpc_des::time::SimTime;
-use dmhpc_workload::{Job, JobId};
+use dmhpc_workload::Job;
 use std::collections::VecDeque;
 
 /// A job waiting to run, with queue metadata.
+///
+/// An entry memoizes the pass-independent parts of its own pricing the
+/// first time a pass needs them, so later passes reuse them: the job's
+/// [`Placement::best_dilation`], its EDF key, and the last instant at
+/// which `RejectInfeasible` admission still admits it on a healthy
+/// machine. A resubmitted job is a new entry and is priced afresh. Debug
+/// builds check every memo hit against a fresh computation.
 #[derive(Debug, Clone)]
 pub struct QueuedJob {
     /// The job as submitted.
@@ -17,9 +25,19 @@ pub struct QueuedJob {
     /// and the model (the trait's contract), so one call serves every
     /// later pass.
     priced: Option<Option<f64>>,
+    /// The job's EDF key once an EDF pass has asked for it:
+    /// [`SchedContext::deadline`], or [`SimTime::MAX`] for a job without a
+    /// deadline. The deadline depends only on the job and the run-wide SLO
+    /// target, which is fixed before the first pass.
+    deadline_key: Option<SimTime>,
+    /// The last instant at which the laxity test admits this job, once
+    /// `RejectInfeasible` admission has admitted it through that test on a
+    /// machine with every node up ([`crate::DeadlinePrice`] explains why
+    /// the test holds at every earlier instant too).
+    admit_until: Option<SimTime>,
 }
 
-/// Queue entries compare by job and enqueue instant; the memo is a cache.
+/// Queue entries compare by job and enqueue instant; the memos are caches.
 impl PartialEq for QueuedJob {
     fn eq(&self, other: &Self) -> bool {
         self.job == other.job && self.enqueued == other.enqueued
@@ -33,6 +51,8 @@ impl QueuedJob {
             job,
             enqueued,
             priced: None,
+            deadline_key: None,
+            admit_until: None,
         }
     }
 
@@ -64,6 +84,58 @@ impl QueuedJob {
         let best = self.best_dilation(ctx, placement);
         self.priced = Some(best);
         best
+    }
+
+    /// Memoize the job's EDF key if no pass has yet; debug builds check
+    /// a memo hit against a fresh [`SchedContext::deadline`].
+    pub(crate) fn memo_deadline_key(&mut self, ctx: &SchedContext<'_>) {
+        let fresh = || ctx.deadline(&self.job).unwrap_or(SimTime::MAX);
+        match self.deadline_key {
+            Some(key) => debug_assert_eq!(
+                key,
+                fresh(),
+                "deadline of job {} changed since it was memoized \
+                 (set the SLO target before the first pass)",
+                self.job.id.0
+            ),
+            None => self.deadline_key = Some(fresh()),
+        }
+    }
+
+    /// The memoized EDF key (`None` before [`QueuedJob::memo_deadline_key`]).
+    pub(crate) fn deadline_key(&self) -> Option<SimTime> {
+        self.deadline_key
+    }
+
+    /// Whether the admit-until memo admits the job at this pass: `ctx.now`
+    /// is no later than the memoized instant and every node is up. Debug
+    /// builds check a hit against a fresh laxity test.
+    pub(crate) fn admitted_until(&self, ctx: &SchedContext<'_>, placement: &dyn Placement) -> bool {
+        let Some(until) = self.admit_until else {
+            return false;
+        };
+        if ctx.now > until || !all_nodes_up(ctx) {
+            return false;
+        }
+        debug_assert!(
+            DeadlinePrice::of(&self.job, ctx)
+                .is_some_and(|p| p.meets(self.best_dilation(ctx, placement).unwrap_or(1.0))),
+            "job {} was admitted until {until:?} but fails the laxity test at {:?}",
+            self.job.id.0,
+            ctx.now
+        );
+        true
+    }
+
+    /// Store the last instant the laxity test admits the job.
+    pub(crate) fn set_admit_until(&mut self, until: SimTime) {
+        self.admit_until = Some(until);
+    }
+
+    /// The admit-until memo, for tests that probe its boundary.
+    #[cfg(test)]
+    pub(crate) fn admit_until_memo(&self) -> Option<SimTime> {
+        self.admit_until
     }
 }
 
@@ -149,11 +221,6 @@ impl WaitQueue {
         self.entries.remove(idx).expect("queue index out of bounds")
     }
 
-    /// Position of a job by id.
-    pub fn position(&self, id: JobId) -> Option<usize> {
-        self.entries.iter().position(|e| e.job.id == id)
-    }
-
     /// Total nodes requested by waiting jobs (queue-pressure metric).
     pub fn total_requested_nodes(&self) -> u64 {
         self.entries.iter().map(|e| e.job.nodes as u64).sum()
@@ -163,7 +230,7 @@ impl WaitQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmhpc_workload::JobBuilder;
+    use dmhpc_workload::{JobBuilder, JobId};
 
     #[test]
     fn push_remove_position() {
@@ -173,8 +240,6 @@ mod tests {
         q.push(JobBuilder::new(2).nodes(3).build(), SimTime::from_secs(6));
         assert_eq!(q.len(), 2);
         assert_eq!(q.total_requested_nodes(), 5);
-        assert_eq!(q.position(JobId(2)), Some(1));
-        assert_eq!(q.position(JobId(9)), None);
         let removed = q.remove(0);
         assert_eq!(removed.job.id, JobId(1));
         assert_eq!(removed.enqueued, SimTime::from_secs(5));

@@ -5,10 +5,9 @@
 //! running set on every pass costs O(running × nodes-per-job) — the
 //! dominant fixed cost of a pass on a busy machine. [`ReleaseIndex`] keeps
 //! the records **incrementally**: the engine inserts a job's release when
-//! it starts, removes it when it finishes, and (should a planned end ever
-//! move) reschedules it in O(log running). Entries stay sorted by
-//! `(planned end, lease)`, so handing the scheduler a time-ordered view is
-//! free.
+//! it starts and removes it when it stops, each in O(log running).
+//! Entries stay sorted by `(planned end, lease)`, so handing the scheduler
+//! a time-ordered view is free.
 //!
 //! [`ReleaseView`] is the read-only borrow a pass receives: iteration in
 //! ascending planned-end order with deterministic `(time, lease)`
@@ -17,8 +16,7 @@
 //!
 //! Re-dilation under the contention model does **not** move planned ends:
 //! the scheduler plans against walltime-based kill limits, which are fixed
-//! at start. [`ReleaseIndex::reschedule`] exists for engines whose planned
-//! ends do drift (e.g. checkpoint/restart extensions).
+//! at start.
 
 use dmhpc_des::time::SimTime;
 use dmhpc_platform::{Cluster, MemoryAssignment, MiB};
@@ -26,7 +24,7 @@ use std::collections::BTreeMap;
 
 /// A running job's future release, as the engine reports it (walltime-based
 /// planned end — schedulers do not know true runtimes).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunningRelease {
     /// Planned end (start + planned walltime).
     pub planned_end: SimTime,
@@ -113,23 +111,12 @@ impl ReleaseIndex {
         self.by_end.get(&(*end, lease))
     }
 
-    /// Move `lease`'s planned end to `new_end`, keeping the order sorted.
-    /// Returns false (and changes nothing) when `lease` is not tracked.
-    pub fn reschedule(&mut self, lease: u64, new_end: SimTime) -> bool {
-        let Some(end) = self.ends.get_mut(&lease) else {
-            return false;
-        };
-        if *end != new_end {
-            let mut release = self
-                .by_end
-                .remove(&(*end, lease))
-                // lint: allow(panic) — ends and by_end are updated together; disagreement is a bookkeeping bug
-                .expect("ends and by_end agree");
-            release.planned_end = new_end;
-            *end = new_end;
-            self.by_end.insert((new_end, lease), release);
-        }
-        true
+    /// `(lease, release)` pairs in ascending `(planned end, lease)` order —
+    /// what [`ReleaseView::iter`] yields, with the leases.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &RunningRelease)> {
+        self.by_end
+            .iter()
+            .map(|(&(_, lease), release)| (lease, release))
     }
 
     /// A read-only, time-ordered view for a scheduling pass.
@@ -199,6 +186,8 @@ mod tests {
         // Equal ends tie-break on lease id: lease 2 before lease 3.
         let nodes: Vec<u32> = idx.view().iter().map(|r| r.nodes_per_rack[0]).collect();
         assert_eq!(nodes, vec![2, 3, 1]);
+        let leases: Vec<u64> = idx.iter().map(|(lease, _)| lease).collect();
+        assert_eq!(leases, vec![1, 2, 3]);
     }
 
     #[test]
@@ -212,18 +201,6 @@ mod tests {
         assert_eq!(idx.len(), 1);
         assert_eq!(idx.get(8).unwrap().planned_end.as_secs(), 20);
         assert!(idx.get(7).is_none());
-    }
-
-    #[test]
-    fn reschedule_moves_order() {
-        let mut idx = ReleaseIndex::new();
-        idx.insert(1, rel(100, 1));
-        idx.insert(2, rel(200, 2));
-        assert!(idx.reschedule(2, SimTime::from_secs(50)));
-        assert_eq!(ends(idx.view()), vec![50, 100]);
-        assert!(idx.reschedule(2, SimTime::from_secs(50)), "no-op move ok");
-        assert!(!idx.reschedule(9, SimTime::ZERO), "unknown lease");
-        assert_eq!(idx.get(2).unwrap().planned_end.as_secs(), 50);
     }
 
     #[test]

@@ -32,6 +32,7 @@
 //! [`Cluster::pools_by_free`]) over whole-machine scans — both are what
 //! keep a pass's cost proportional to what it touches.
 
+use crate::admission::DeadlinePrice;
 use crate::memory::PlannedAllocation;
 use crate::profile::Demand;
 use crate::queue::QueuedJob;
@@ -101,12 +102,7 @@ impl<'a> SchedContext<'a> {
     /// `deadline − now − walltime`. Negative means the deadline is already
     /// tight or lost; `None` means the job carries no deadline.
     pub fn laxity_s(&self, job: &Job) -> Option<f64> {
-        Some(self.laxity_at(self.deadline(job)?, job))
-    }
-
-    /// [`SchedContext::laxity_s`] for a `deadline` already looked up.
-    pub(crate) fn laxity_at(&self, deadline: SimTime, job: &Job) -> f64 {
-        deadline.as_secs_f64() - self.now.as_secs_f64() - job.walltime.as_secs_f64()
+        Some(DeadlinePrice::of(job, self)?.laxity_s)
     }
 }
 
@@ -128,7 +124,10 @@ pub enum PassDirective {
 ///
 /// Implementations must produce a **total, deterministic** order; ties
 /// should fall back to `(arrival, id)` so identical runs schedule
-/// identically.
+/// identically. Entries persist across passes, so a key that does not
+/// depend on the pass instant need not be recomputed each pass: the
+/// built-in EDF keeps each entry's deadline in the entry (see
+/// [`QueuedJob`]) and only orders by it.
 pub trait Ordering: std::fmt::Debug + Send + Sync {
     /// Stable name used in report labels.
     fn name(&self) -> &str;

@@ -1473,6 +1473,36 @@ impl<'a, 'o> Engine<'a, 'o> {
         // maps are ordered by id, so pairing them up checks the ids too.
         assert_eq!(self.releases.len(), self.running.len(), "release index");
         assert_eq!(self.cluster.lease_count(), self.running.len(), "leases");
+        // The release index hands passes its entries in strictly ascending
+        // `(planned end, lease)` order; each is what the lease's assignment
+        // releases at that end, and under walltime enforcement the end is
+        // the job's kill time.
+        let mut prev = None;
+        for (lease, entry) in self.releases.iter() {
+            let key = (entry.planned_end, lease);
+            assert!(
+                prev < Some(key),
+                "release index out of order at lease {lease}"
+            );
+            prev = Some(key);
+            let fresh = self
+                .cluster
+                .lease_assignment(lease)
+                .map(|a| RunningRelease::of(&self.cluster, a, entry.planned_end));
+            assert_eq!(
+                fresh.as_ref(),
+                Some(entry),
+                "stale release for lease {lease}"
+            );
+            if self.sim.cfg.enforce_walltime {
+                let kill = self.running.get(&JobId(lease)).map(|r| r.kill_time);
+                assert_eq!(
+                    kill,
+                    Some(entry.planned_end),
+                    "lease {lease}: planned end is not the kill time"
+                );
+            }
+        }
         let model = &self.sim.cfg.scheduler.slowdown;
         for ((id, r), (lease, assignment)) in self.running.iter().zip(self.cluster.active_leases())
         {
